@@ -1133,9 +1133,7 @@ void BM_StoreAnalyze(benchmark::State& state) {
       for (std::int64_t begin = store.min_time_ms(); begin <= store.max_time_ms();
            begin += stream.window_ms) {
         const std::int64_t end = begin + stream.window_ms;
-        const auto window = dataset.filtered([&](const telemetry::ActionRecord& r) {
-          return r.time_ms >= begin && r.time_ms < end;
-        });
+        const auto window = dataset.filtered(telemetry::by_time_range(begin, end));
         auto result = core::analyze(window, options);
         benchmark::DoNotOptimize(result.normalized.data());
         records += window.size();

@@ -53,8 +53,7 @@ int main() {
         {telemetry::by_action(telemetry::ActionType::kSelectMail),
          quartiles.in_quartile(static_cast<int>(q))}));
     const auto statistic = [&](std::span<const std::size_t> indices) {
-      telemetry::Dataset resampled;
-      for (const auto idx : indices) resampled.append_from(slice, idx);
+      auto resampled = slice.gather(indices);
       resampled.sort_by_time();
       try {
         const auto result = core::analyze(resampled, options);

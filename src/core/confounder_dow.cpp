@@ -110,8 +110,11 @@ std::vector<DayClassPreference> preference_by_day_class(const telemetry::Dataset
   std::vector<DayClassPreference> out;
   for (int c = 0; c < kDayClassCount; ++c) {
     const auto cls = static_cast<DayClass>(c);
-    const auto slice = dataset.filtered(
-        [cls](const telemetry::ActionRecord& r) { return day_class(r.time_ms) == cls; });
+    std::vector<std::size_t> rows;
+    for (std::size_t i = 0; i < dataset.size(); ++i) {
+      if (day_class(dataset.times()[i]) == cls) rows.push_back(i);
+    }
+    const auto slice = dataset.gather(rows);
     if (slice.empty()) continue;
     const auto windows = day_class_windows(slice, cls);
     try {

@@ -36,51 +36,46 @@ PipelineMetrics& metrics() {
   return handles;
 }
 
-/// B (α-normalized when enabled) from the analysis-plane columns. The
-/// columns must be sorted (Dataset sorted flag / DatasetView construction).
-stats::Histogram build_biased(telemetry::SampleColumns columns,
-                              const AutoSensOptions& options,
-                              std::vector<SlotStat>& slots) {
-  if (options.normalize_time_confounder) {
-    obs::Span span("alpha_normalize", &metrics().alpha_ms);
-    const TimeNormalizer normalizer(columns, options);
-    slots = normalizer.slots();
-    span.attr("slots", static_cast<std::int64_t>(slots.size()));
-    return normalizer.normalized_biased(columns);
-  }
-  obs::Span span("biased_fill", &metrics().biased_ms);
-  return biased_histogram(columns.latencies, options);
+const char* unbiased_method_name(const AutoSensOptions& options) {
+  return options.unbiased_method == UnbiasedMethod::kMonteCarlo ? "mc" : "voronoi";
 }
 
-PreferenceResult finish_preference(const stats::Histogram& biased,
-                                   const stats::Histogram& unbiased,
-                                   const AutoSensOptions& options) {
-  obs::Span span("preference", &metrics().preference_ms);
-  return compute_preference(biased, unbiased, options);
-}
-
-/// The shared core of analyze_detailed: the two estimator fills + the
-/// preference curve, over any sorted column view. `unbiased_fn` supplies the
-/// U estimate (the Dataset path routes it through the memoized Voronoi
-/// weights; the view path computes directly).
+/// The shared core of every analysis run over a sorted column view: the two
+/// estimator fills, the preference curve, and the run bookkeeping.
+/// `unbiased_fn(span)` supplies the U estimate under the "unbiased" span,
+/// tagged with `method` (the Dataset path routes it through the memoized
+/// Voronoi weights, the view path computes directly, the windowed path
+/// fills per window).
 template <typename UnbiasedFn>
 AnalysisResult analyze_columns(telemetry::SampleColumns columns,
-                               const AutoSensOptions& options,
+                               const AutoSensOptions& options, const char* method,
                                const UnbiasedFn& unbiased_fn) {
-  if (columns.empty()) throw std::invalid_argument("analyze: empty dataset");
   metrics().records.inc(columns.size());
 
+  // B, α-normalized when enabled.
   std::vector<SlotStat> slots;
-  stats::Histogram biased = build_biased(columns, options, slots);
+  stats::Histogram biased = [&] {
+    if (options.normalize_time_confounder) {
+      obs::Span span("alpha_normalize", &metrics().alpha_ms);
+      const TimeNormalizer normalizer(columns, options);
+      slots = normalizer.slots();
+      span.attr("slots", static_cast<std::int64_t>(slots.size()));
+      return normalizer.normalized_biased(columns);
+    }
+    obs::Span span("biased_fill", &metrics().biased_ms);
+    return biased_histogram(columns.latencies, options);
+  }();
 
   stats::Histogram unbiased = [&] {
     obs::Span span("unbiased", &metrics().unbiased_ms);
-    span.attr("method",
-              options.unbiased_method == UnbiasedMethod::kMonteCarlo ? "mc" : "voronoi");
-    return unbiased_fn();
+    span.attr("method", method);
+    return unbiased_fn(span);
   }();
 
-  auto preference = finish_preference(biased, unbiased, options);
+  auto preference = [&] {
+    obs::Span span("preference", &metrics().preference_ms);
+    return compute_preference(biased, unbiased, options);
+  }();
   // The α-normalization rescales weights; report the actual record count.
   preference.biased_samples = columns.size();
   metrics().runs.inc();
@@ -102,8 +97,8 @@ AnalysisResult analyze_detailed(const telemetry::Dataset& dataset,
                                 const AutoSensOptions& options) {
   if (dataset.empty()) throw std::invalid_argument("analyze: empty dataset");
   if (!dataset.is_sorted()) throw std::invalid_argument("analyze: dataset not sorted");
-  return analyze_columns(dataset.columns(), options,
-                         [&] { return unbiased_histogram(dataset, options); });
+  return analyze_columns(dataset.columns(), options, unbiased_method_name(options),
+                         [&](obs::Span&) { return unbiased_histogram(dataset, options); });
 }
 
 PreferenceResult analyze(const telemetry::Dataset& dataset, const AutoSensOptions& options) {
@@ -114,8 +109,8 @@ AnalysisResult analyze_detailed(const telemetry::DatasetView& view,
                                 const AutoSensOptions& options) {
   if (view.empty()) throw std::invalid_argument("analyze: empty dataset");
   const auto columns = view.columns();
-  return analyze_columns(columns, options,
-                         [&] { return unbiased_histogram(columns, options); });
+  return analyze_columns(columns, options, unbiased_method_name(options),
+                         [&](obs::Span&) { return unbiased_histogram(columns, options); });
 }
 
 PreferenceResult analyze(const telemetry::DatasetView& view, const AutoSensOptions& options) {
@@ -130,33 +125,12 @@ AnalysisResult analyze_over_windows(const telemetry::Dataset& dataset,
     throw std::invalid_argument("analyze_over_windows: dataset not sorted");
   }
   if (windows.empty()) throw std::invalid_argument("analyze_over_windows: no windows");
-  metrics().records.inc(dataset.size());
-
-  std::vector<SlotStat> slots;
-  stats::Histogram biased = build_biased(dataset.columns(), options, slots);
-
-  stats::Histogram unbiased = [&] {
-    obs::Span span("unbiased", &metrics().unbiased_ms);
-    span.attr("method", "windows");
+  return analyze_columns(dataset.columns(), options, "windows", [&](obs::Span& span) {
     span.attr("windows", static_cast<std::int64_t>(windows.size()));
     return unbiased_histogram_over_windows_sorted(dataset.times(), dataset.latencies(),
                                                   windows, options.bin_width_ms,
                                                   options.max_latency_ms, options.threads);
-  }();
-
-  auto preference = finish_preference(biased, unbiased, options);
-  preference.biased_samples = dataset.size();
-  metrics().runs.inc();
-  if (obs::enabled()) {
-    // Readiness for /healthz: the analysis pipeline has produced at least
-    // one result since instrumentation came up.
-    obs::Health::global().set_component(
-        "pipeline", true, "runs=" + std::to_string(metrics().runs.value()));
-  }
-  return AnalysisResult{.preference = std::move(preference),
-                        .biased = std::move(biased),
-                        .unbiased = std::move(unbiased),
-                        .slots = std::move(slots)};
+  });
 }
 
 }  // namespace autosens::core

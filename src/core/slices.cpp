@@ -1,6 +1,5 @@
 #include "core/slices.h"
 
-#include <functional>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -14,35 +13,44 @@ using telemetry::ActionType;
 using telemetry::Dataset;
 using telemetry::UserClass;
 
-using SliceTask = std::function<std::optional<NamedPreference>()>;
+/// One evaluation slice: the curve's name and the rows it keeps.
+struct Slice {
+  std::string name;
+  telemetry::RecordFilter filter;
+};
 
-/// Run the slice tasks (possibly in parallel — each slice filters and
-/// analyzes independently) and keep the successful ones in task order.
-/// Slices that are empty or cannot support a curve come back as nullopt.
-std::vector<NamedPreference> collect_slices(const std::vector<SliceTask>& tasks,
-                                            std::size_t threads) {
-  std::vector<std::optional<NamedPreference>> results(tasks.size());
-  parallel_for_items(tasks.size(), threads,
-                     [&](std::size_t i) { results[i] = tasks[i](); });
+/// Filter and analyze every slice (possibly in parallel — each slice filters
+/// and analyzes independently) and keep the curves in slice order.
+/// `analyze_slice(i, sliced)` returns slice i's curve; empty slices, and those
+/// it rejects with std::invalid_argument (too little support), are skipped.
+template <typename AnalyzeSlice>
+std::vector<NamedPreference> analyze_slices(const Dataset& dataset,
+                                            const std::vector<Slice>& slices, std::size_t threads,
+                                            const AnalyzeSlice& analyze_slice) {
+  std::vector<std::optional<NamedPreference>> results(slices.size());
+  parallel_for_items(slices.size(), threads, [&](std::size_t i) {
+    const auto sliced = dataset.filtered(slices[i].filter);
+    if (sliced.empty()) return;
+    try {
+      results[i] = NamedPreference{slices[i].name, analyze_slice(i, sliced), sliced.size()};
+    } catch (const std::invalid_argument&) {
+      // Not enough support for this slice; callers see it as absent.
+    }
+  });
   std::vector<NamedPreference> out;
-  out.reserve(tasks.size());
+  out.reserve(slices.size());
   for (auto& result : results) {
     if (result) out.push_back(std::move(*result));
   }
   return out;
 }
 
-/// Run `analyze` on a slice, skipping slices that cannot support a curve.
-std::optional<NamedPreference> try_analyze(std::string name, const Dataset& slice,
-                                           const AutoSensOptions& options) {
-  if (slice.empty()) return std::nullopt;
-  try {
-    auto result = analyze(slice, options);
-    return NamedPreference{std::move(name), std::move(result), slice.size()};
-  } catch (const std::invalid_argument&) {
-    // Not enough support for this slice; callers see it as absent.
-    return std::nullopt;
-  }
+std::vector<NamedPreference> analyze_slices(const Dataset& dataset,
+                                            const std::vector<Slice>& slices,
+                                            const AutoSensOptions& options) {
+  return analyze_slices(dataset, slices, options.threads, [&](std::size_t, const Dataset& sliced) {
+    return analyze(sliced, options);
+  });
 }
 
 }  // namespace
@@ -50,33 +58,26 @@ std::optional<NamedPreference> try_analyze(std::string name, const Dataset& slic
 std::vector<NamedPreference> preference_by_action(const Dataset& dataset,
                                                   const AutoSensOptions& options,
                                                   std::optional<UserClass> user_class) {
-  std::vector<SliceTask> tasks;
+  std::vector<Slice> slices;
   for (const auto type : {ActionType::kSelectMail, ActionType::kSwitchFolder,
                           ActionType::kSearch, ActionType::kComposeSend}) {
-    tasks.push_back([&, type, user_class] {
-      auto predicate = telemetry::by_action(type);
-      if (user_class) {
-        predicate = telemetry::all_of({predicate, telemetry::by_user_class(*user_class)});
-      }
-      return try_analyze(std::string(telemetry::to_string(type)),
-                         dataset.filtered(predicate), options);
-    });
+    auto filter = telemetry::by_action(type);
+    if (user_class) filter = telemetry::all_of({filter, telemetry::by_user_class(*user_class)});
+    slices.push_back({std::string(telemetry::to_string(type)), std::move(filter)});
   }
-  return collect_slices(tasks, options.threads);
+  return analyze_slices(dataset, slices, options);
 }
 
 std::vector<NamedPreference> preference_by_user_class(const Dataset& dataset,
                                                       const AutoSensOptions& options,
                                                       ActionType action) {
-  std::vector<SliceTask> tasks;
+  std::vector<Slice> slices;
   for (const auto user_class : {UserClass::kBusiness, UserClass::kConsumer}) {
-    tasks.push_back([&, user_class] {
-      const auto slice = dataset.filtered(telemetry::all_of(
-          {telemetry::by_action(action), telemetry::by_user_class(user_class)}));
-      return try_analyze(std::string(telemetry::to_string(user_class)), slice, options);
-    });
+    slices.push_back({std::string(telemetry::to_string(user_class)),
+                      telemetry::all_of({telemetry::by_action(action),
+                                         telemetry::by_user_class(user_class)})});
   }
-  return collect_slices(tasks, options.threads);
+  return analyze_slices(dataset, slices, options);
 }
 
 std::vector<NamedPreference> preference_by_quartile(const Dataset& dataset,
@@ -84,51 +85,40 @@ std::vector<NamedPreference> preference_by_quartile(const Dataset& dataset,
                                                     const AutoSensOptions& options,
                                                     ActionType action,
                                                     std::optional<UserClass> user_class) {
-  // The quartile table is built once, before the parallel region; tasks only
-  // read it.
+  // The four quartile filters share one read-only table.
   const telemetry::UserQuartiles quartiles(quartile_basis);
-  std::vector<SliceTask> tasks;
+  std::vector<Slice> slices;
   for (int q = 0; q < telemetry::UserQuartiles::kQuartileCount; ++q) {
-    tasks.push_back([&, q] {
-      auto predicate =
-          telemetry::all_of({telemetry::by_action(action), quartiles.in_quartile(q)});
-      if (user_class) {
-        predicate = telemetry::all_of({predicate, telemetry::by_user_class(*user_class)});
-      }
-      // Built by append (not operator+) to dodge a GCC 12 -Wrestrict false
-      // positive at -O3 that breaks Release -Werror builds.
-      std::string name("Q");
-      name += std::to_string(q + 1);
-      return try_analyze(std::move(name), dataset.filtered(predicate), options);
-    });
+    auto filter = telemetry::all_of({telemetry::by_action(action), quartiles.in_quartile(q)});
+    if (user_class) filter = telemetry::all_of({filter, telemetry::by_user_class(*user_class)});
+    // Built by append (not operator+) to dodge a GCC 12 -Wrestrict false
+    // positive at -O3 that breaks Release -Werror builds.
+    std::string name("Q");
+    name += std::to_string(q + 1);
+    slices.push_back({std::move(name), std::move(filter)});
   }
-  return collect_slices(tasks, options.threads);
+  return analyze_slices(dataset, slices, options);
 }
 
 std::vector<NamedPreference> preference_by_period(const Dataset& dataset,
                                                   const AutoSensOptions& options,
                                                   ActionType action,
                                                   UserClass user_class) {
-  std::vector<SliceTask> tasks;
+  std::vector<Slice> slices;
   for (int p = 0; p < telemetry::kDayPeriodCount; ++p) {
     const auto period = static_cast<telemetry::DayPeriod>(p);
-    tasks.push_back([&, period]() -> std::optional<NamedPreference> {
-      const auto slice = dataset.filtered(telemetry::all_of(
-          {telemetry::by_action(action), telemetry::by_user_class(user_class),
-           telemetry::by_period(period)}));
-      if (slice.empty()) return std::nullopt;
-      const auto windows = period_windows(slice, period);
-      try {
-        auto result = analyze_over_windows(slice, windows, options);
-        return NamedPreference{std::string(telemetry::to_string(period)),
-                               std::move(result.preference), slice.size()};
-      } catch (const std::invalid_argument&) {
-        // Slice too thin; skip.
-        return std::nullopt;
-      }
-    });
+    slices.push_back({std::string(telemetry::to_string(period)),
+                      telemetry::all_of({telemetry::by_action(action),
+                                         telemetry::by_user_class(user_class),
+                                         telemetry::by_period(period)})});
   }
-  return collect_slices(tasks, options.threads);
+  // Each period is analyzed over its own daily windows.
+  return analyze_slices(dataset, slices, options.threads,
+                        [&](std::size_t p, const Dataset& sliced) {
+                          const auto period = static_cast<telemetry::DayPeriod>(p);
+                          const auto windows = period_windows(sliced, period);
+                          return analyze_over_windows(sliced, windows, options).preference;
+                        });
 }
 
 std::vector<NamedPreference> preference_by_month(const Dataset& dataset,
@@ -137,17 +127,14 @@ std::vector<NamedPreference> preference_by_month(const Dataset& dataset,
   if (dataset.empty()) return {};
   const std::int64_t first_month = telemetry::month_index(dataset.begin_time());
   const std::int64_t last_month = telemetry::month_index(dataset.end_time() - 1);
-  std::vector<SliceTask> tasks;
+  std::vector<Slice> slices;
   for (std::int64_t m = first_month; m <= last_month; ++m) {
-    tasks.push_back([&, m] {
-      const auto slice = dataset.filtered(
-          telemetry::all_of({telemetry::by_action(action), telemetry::by_month(m)}));
-      std::string name("Month");
-      name += std::to_string(m + 1);
-      return try_analyze(std::move(name), slice, options);
-    });
+    std::string name("Month");
+    name += std::to_string(m + 1);
+    slices.push_back({std::move(name), telemetry::all_of({telemetry::by_action(action),
+                                                          telemetry::by_month(m)})});
   }
-  return collect_slices(tasks, options.threads);
+  return analyze_slices(dataset, slices, options);
 }
 
 }  // namespace autosens::core

@@ -6,6 +6,7 @@
 #include "core/biased.h"
 #include "core/pipeline.h"
 #include "stats/rng.h"
+#include "telemetry/filter.h"
 
 namespace autosens::core {
 
@@ -16,6 +17,10 @@ void analyze_store_windows(const telemetry::store::StoredDataset& store,
     throw std::invalid_argument("analyze_store_windows: window_ms must be positive");
   }
   if (store.partitions().empty()) return;
+  std::vector<telemetry::RecordFilter> terms;
+  if (stream.action) terms.push_back(telemetry::by_action(*stream.action));
+  if (stream.user_class) terms.push_back(telemetry::by_user_class(*stream.user_class));
+  const auto slice = telemetry::all_of(terms);
   const std::int64_t min_time = store.min_time_ms();
   const std::int64_t max_time = store.max_time_ms();
   for (std::int64_t begin = min_time; begin <= max_time; begin += stream.window_ms) {
@@ -32,12 +37,7 @@ void analyze_store_windows(const telemetry::store::StoredDataset& store,
     if (stream.scrub) {
       dataset = telemetry::validate(dataset, stream.validation).dataset;
     }
-    if (stream.action.has_value() || stream.user_class.has_value()) {
-      dataset = dataset.filtered([&](const telemetry::ActionRecord& r) {
-        return (!stream.action.has_value() || r.action == *stream.action) &&
-               (!stream.user_class.has_value() || r.user_class == *stream.user_class);
-      });
-    }
+    if (!terms.empty()) dataset = dataset.filtered(slice);
     result.records = dataset.size();
     if (!dataset.empty()) {
       try {

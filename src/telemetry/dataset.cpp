@@ -4,6 +4,7 @@
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include "stats/descriptive.h"
@@ -108,19 +109,6 @@ void Dataset::add(ActionRecord record) {
   invalidate_cache();
 }
 
-void Dataset::append_from(const Dataset& source, std::size_t i) {
-  if (sorted_ && !time_ms_.empty() && source.time_ms_[i] < time_ms_.back()) {
-    sorted_ = false;
-  }
-  time_ms_.push_back(source.time_ms_[i]);
-  latency_ms_.push_back(source.latency_ms_[i]);
-  user_id_.push_back(source.user_id_[i]);
-  action_.push_back(source.action_[i]);
-  user_class_.push_back(source.user_class_[i]);
-  status_.push_back(source.status_[i]);
-  invalidate_cache();
-}
-
 void Dataset::append_columns(std::span<const std::int64_t> times,
                              std::span<const double> latencies,
                              std::span<const std::uint64_t> user_ids,
@@ -191,6 +179,22 @@ void apply_permutation(std::vector<T>& column, std::span<const std::uint64_t> pe
 }
 
 }  // namespace
+
+Dataset Dataset::gather(std::span<const std::size_t> rows) const {
+  if (!rows.empty() && *std::max_element(rows.begin(), rows.end()) >= size()) {
+    throw std::out_of_range("Dataset::gather: row index out of range");
+  }
+  const auto pick = [rows](const auto& column) {
+    std::remove_cvref_t<decltype(column)> out;
+    out.reserve(rows.size());
+    for (const std::size_t i : rows) out.push_back(column[i]);
+    return out;
+  };
+  Dataset out;
+  out.adopt_columns(pick(time_ms_), pick(latency_ms_), pick(user_id_), pick(action_),
+                    pick(user_class_), pick(status_));
+  return out;
+}
 
 void Dataset::sort_by_time() {
   if (sorted_) return;

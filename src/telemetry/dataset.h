@@ -1,7 +1,7 @@
 // Dataset: an in-memory, time-sorted store of ActionRecords with the access
 // paths AutoSens needs — time range, parallel time/latency views, per-user
-// grouping (for the conditioning-to-speed quartiles, §3.4), and cheap
-// filtered copies.
+// grouping (for the conditioning-to-speed quartiles, §3.4), and column-wise
+// row gathers (filtered slices, bootstrap resamples).
 //
 // Storage is structure-of-arrays: every record field lives in its own
 // contiguous column, so the estimator hot loops (which only touch time and
@@ -20,6 +20,8 @@
 #include "telemetry/record.h"
 
 namespace autosens::telemetry {
+
+struct RecordFilter;
 
 /// Non-owning view of the two analysis-plane columns. The whole estimator
 /// pipeline (biased/unbiased fills, α-normalization) consumes this instead of
@@ -56,8 +58,6 @@ class Dataset {
   /// Append one record. Invalidates sortedness; sort happens lazily via
   /// ensure_sorted() or eagerly through sort_by_time().
   void add(ActionRecord record);
-  /// Append record i of `source` column-wise (no AoS round-trip).
-  void append_from(const Dataset& source, std::size_t i);
   /// Bulk append: splice whole column slices onto the dataset (the ingest
   /// engine's shard-concatenation path). All spans must have equal length;
   /// throws std::invalid_argument otherwise. The sorted flag survives only
@@ -116,17 +116,14 @@ class Dataset {
   /// The analysis-plane view (same lifetime rules as the column spans).
   SampleColumns columns() const noexcept { return {time_ms_, latency_ms_}; }
 
-  /// A new dataset containing records matching `predicate`, preserving
-  /// order. Templated so lambda predicates run devirtualized; the predicate
-  /// sees a gathered ActionRecord.
-  template <typename Predicate>
-  Dataset filtered(const Predicate& predicate) const {
-    Dataset kept;
-    for (std::size_t i = 0; i < size(); ++i) {
-      if (predicate((*this)[i])) kept.append_from(*this, i);
-    }
-    return kept;
-  }
+  /// Rows rows[0], rows[1], ... of this dataset (repeats and any order
+  /// allowed) copied column by column; the sorted flag reflects the gathered
+  /// times. Throws std::out_of_range on an index >= size().
+  Dataset gather(std::span<const std::size_t> rows) const;
+
+  /// The rows `filter` keeps, in their original order: gather(filter.rows()).
+  /// Defined with RecordFilter in telemetry/filter.cpp.
+  Dataset filtered(const RecordFilter& filter) const;
 
   /// Per-user median latency over this dataset (for quartile conditioning).
   std::unordered_map<std::uint64_t, double> per_user_median_latency() const;

@@ -1,12 +1,16 @@
-// Composable record predicates and the slicing helpers the evaluation uses:
-// by action type (§3.2), by user class (§3.3), by per-user median-latency
-// quartile (§3.4), by 6-hour period (§3.6), and by month (§3.7).
+// Row selection for the evaluation's slices: action type (§3.2), user class
+// (§3.3), per-user median-latency quartile (§3.4), 6-hour period (§3.6),
+// month (§3.7) and time range. A RecordFilter is a plain value, a
+// conjunction of column terms; each term reads one column span of a Dataset,
+// so selection never assembles an ActionRecord or calls a type-erased
+// predicate. Dataset::filtered(filter) is gather(filter.rows(dataset)).
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <functional>
+#include <memory>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "telemetry/clock.h"
@@ -15,17 +19,36 @@
 
 namespace autosens::telemetry {
 
-using RecordPredicate = std::function<bool(const ActionRecord&)>;
+struct RecordFilter {
+  using QuartileTable = std::unordered_map<std::uint64_t, int>;  ///< user → quartile
+  struct Month { std::int64_t index = 0; };
+  struct TimeRange { std::int64_t begin_ms = 0, end_ms = 0; };
+  struct Quartile { std::shared_ptr<const QuartileTable> table; int q = 0; };
+  using Term = std::variant<ActionType, UserClass, DayPeriod, Month, TimeRange, Quartile>;
 
-RecordPredicate by_action(ActionType type);
-RecordPredicate by_user_class(UserClass user_class);
-RecordPredicate by_status(ActionStatus status);
-RecordPredicate by_period(DayPeriod period);
-RecordPredicate by_month(std::int64_t month);
-RecordPredicate by_time_range(std::int64_t begin_ms, std::int64_t end_ms);
+  RecordFilter() = default;
+  /// One term, built in place (moving a Term temporary trips GCC 12 -Wmaybe-uninitialized).
+  template <typename T>
+  explicit RecordFilter(T term) { terms.emplace_back(std::in_place_type<T>, std::move(term)); }
 
-/// Logical AND of predicates.
-RecordPredicate all_of(std::vector<RecordPredicate> predicates);
+  /// Ascending indices of the rows of `dataset` that pass every term.
+  std::vector<std::size_t> rows(const Dataset& dataset) const;
+
+  std::vector<Term> terms;  ///< Conjunction; empty keeps every row.
+};
+
+/// Logical AND of filters; all_of({}) keeps every row.
+RecordFilter all_of(std::vector<RecordFilter> filters);
+
+inline RecordFilter by_action(ActionType type) { return RecordFilter(type); }
+inline RecordFilter by_user_class(UserClass user_class) { return RecordFilter(user_class); }
+inline RecordFilter by_period(DayPeriod period) { return RecordFilter(period); }
+/// Rows whose month_index(time) is `m`.
+inline RecordFilter by_month(std::int64_t m) { return RecordFilter(RecordFilter::Month{m}); }
+/// Rows with begin_ms <= time < end_ms.
+inline RecordFilter by_time_range(std::int64_t begin_ms, std::int64_t end_ms) {
+  return RecordFilter(RecordFilter::TimeRange{begin_ms, end_ms});
+}
 
 /// Per-user median-latency quartile assignment. Users are ranked by their
 /// median latency over `dataset`; quartile 0 (Q1) holds the quarter with the
@@ -45,19 +68,18 @@ class UserQuartiles {
   /// Quartile in [0, 4) for a user; unknown users go to the nearest quartile
   /// by their absence being impossible in our pipelines — throws instead.
   int quartile_of(std::uint64_t user_id) const;
-  bool contains(std::uint64_t user_id) const noexcept {
-    return assignment_.contains(user_id);
-  }
+  bool contains(std::uint64_t user_id) const noexcept { return assignment_->contains(user_id); }
 
-  /// Predicate matching records of users in quartile q.
-  RecordPredicate in_quartile(int q) const;
+  /// Filter keeping the rows of users in quartile q (users outside the table
+  /// match none). It shares this object's table, so it may outlive it.
+  RecordFilter in_quartile(int q) const;
 
   /// Median-latency boundaries between quartiles (3 values: q25, q50, q75).
   const std::array<double, 3>& boundaries() const noexcept { return boundaries_; }
-  std::size_t user_count() const noexcept { return assignment_.size(); }
+  std::size_t user_count() const noexcept { return assignment_->size(); }
 
  private:
-  std::unordered_map<std::uint64_t, int> assignment_;
+  std::shared_ptr<const RecordFilter::QuartileTable> assignment_;
   std::array<double, 3> boundaries_{};
 };
 

@@ -78,11 +78,12 @@ ValidatedDataset validate(const Dataset& input, const ValidationOptions& options
   ValidatedDataset result;
   result.report.total = input.size();
   // Every check reads only time, latency, and status, so scan those columns
-  // directly and copy survivors column-to-column — no ActionRecord
-  // materialization on the hot path.
+  // directly, collect the survivors' indices, and gather them once.
   const auto times = input.times();
   const auto latencies = input.latencies();
   const auto statuses = input.statuses();
+  std::vector<std::size_t> kept;
+  kept.reserve(times.size());
   for (std::size_t i = 0; i < times.size(); ++i) {
     if (times[i] < options.min_time_ms) {
       ++result.report.dropped_bad_timestamp;
@@ -108,9 +109,10 @@ ValidatedDataset validate(const Dataset& input, const ValidationOptions& options
       ++result.report.dropped_excessive_latency;
       continue;
     }
-    result.dataset.append_from(input, i);
+    kept.push_back(i);
   }
-  result.report.kept = result.dataset.size();
+  result.report.kept = kept.size();
+  result.dataset = input.gather(kept);
   result.dataset.sort_by_time();
 
   auto& m = metrics();

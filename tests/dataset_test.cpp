@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <vector>
+
+#include "telemetry/filter.h"
 
 namespace autosens::telemetry {
 namespace {
@@ -119,30 +122,56 @@ TEST(DatasetTest, RecordsRoundTripsAllColumns) {
   EXPECT_EQ(records[0].status, ActionStatus::kSuccess);
 }
 
-TEST(DatasetTest, AppendFromCopiesWholeRows) {
+TEST(DatasetTest, GatherCopiesWholeRows) {
   const Dataset source({make_record(1, 10.0, 5), make_record(2, 20.0, 6)});
-  Dataset out;
-  out.append_from(source, 1);
-  out.append_from(source, 0);
+  const std::vector<std::size_t> rows = {1, 0};
+  const Dataset out = source.gather(rows);
   ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].time_ms, 2);
-  EXPECT_EQ(out[1].user_id, 5u);
+  EXPECT_EQ(out[0], source[1]);
+  EXPECT_EQ(out[1], source[0]);
   EXPECT_FALSE(out.is_sorted());
+}
+
+TEST(DatasetTest, GatherRepeatsAndReordersRows) {
+  // The bootstrap case: indices drawn with replacement, in any order.
+  Dataset source;
+  for (std::int64_t t = 0; t < 6; ++t) {
+    source.add({.time_ms = 10 * t,
+                .user_id = static_cast<std::uint64_t>(100 + t),
+                .latency_ms = 1.5 * static_cast<double>(t),
+                .action = static_cast<ActionType>(t % kActionTypeCount),
+                .user_class = static_cast<UserClass>(t % kUserClassCount),
+                .status = static_cast<ActionStatus>(t % 2)});
+  }
+  const std::vector<std::size_t> rows = {4, 4, 0, 5, 2, 2, 2};
+  const Dataset out = source.gather(rows);
+  ASSERT_EQ(out.size(), rows.size());
+  for (std::size_t k = 0; k < rows.size(); ++k) EXPECT_EQ(out[k], source[rows[k]]) << k;
+  EXPECT_FALSE(out.is_sorted());
+
+  const std::vector<std::size_t> ascending = {0, 2, 2, 5};
+  EXPECT_TRUE(source.gather(ascending).is_sorted());  // Equal times stay sorted.
+  EXPECT_TRUE(source.gather({}).empty());
+}
+
+TEST(DatasetTest, GatherRejectsOutOfRangeRows) {
+  const Dataset source({make_record(1), make_record(2)});
+  const std::vector<std::size_t> rows = {0, 2};
+  EXPECT_THROW(source.gather(rows), std::out_of_range);
 }
 
 TEST(DatasetTest, FilteredKeepsMatchingRecords) {
   const Dataset d({make_record(1, 10.0), make_record(2, 200.0), make_record(3, 30.0)});
-  const auto filtered =
-      d.filtered([](const ActionRecord& r) { return r.latency_ms < 100.0; });
+  const auto filtered = d.filtered(by_time_range(1, 3));
   EXPECT_EQ(filtered.size(), 2u);
   EXPECT_EQ(filtered[0].time_ms, 1);
-  EXPECT_EQ(filtered[1].time_ms, 3);
+  EXPECT_EQ(filtered[1].time_ms, 2);
   EXPECT_TRUE(filtered.is_sorted());
 }
 
 TEST(DatasetTest, FilteredCanBeEmpty) {
   const Dataset d({make_record(1)});
-  const auto filtered = d.filtered([](const ActionRecord&) { return false; });
+  const auto filtered = d.filtered(by_action(ActionType::kSearch));
   EXPECT_TRUE(filtered.empty());
 }
 

@@ -20,6 +20,7 @@
 #include "core/store_analyze.h"
 #include "stats/rng.h"
 #include "telemetry/clock.h"
+#include "telemetry/filter.h"
 #include "telemetry/store/store.h"
 #include "telemetry/store/writer.h"
 #include "telemetry/validate.h"
@@ -27,7 +28,6 @@
 namespace autosens {
 namespace {
 
-using telemetry::ActionRecord;
 using telemetry::ActionStatus;
 using telemetry::ActionType;
 using telemetry::Dataset;
@@ -37,8 +37,11 @@ using telemetry::store::build_store;
 using telemetry::store::StoredDataset;
 using telemetry::store::StoreOptions;
 
+/// A directory private to the running test case: ctest runs each case as
+/// its own process, possibly concurrently, so cases must not share one.
 std::filesystem::path fresh_dir(const std::string& name) {
-  const auto dir = std::filesystem::path(::testing::TempDir()) / name;
+  const auto dir = std::filesystem::path(::testing::TempDir()) /
+                   (name + "-" + ::testing::UnitTest::GetInstance()->current_test_info()->name());
   std::filesystem::remove_all(dir);
   return dir;
 }
@@ -68,8 +71,7 @@ Dataset crafted_dataset() {
 }
 
 Dataset window_of(const Dataset& dataset, std::int64_t begin, std::int64_t end) {
-  return dataset.filtered(
-      [&](const ActionRecord& r) { return r.time_ms >= begin && r.time_ms < end; });
+  return dataset.filtered(telemetry::by_time_range(begin, end));
 }
 
 void expect_equal(const Dataset& a, const Dataset& b, const std::string& what) {

@@ -128,7 +128,7 @@ TEST(StoreFooterTest, FooterRoundtrip) {
   corrupt[10] ^= 0xff;
   EXPECT_THROW(decode_footer(corrupt), std::runtime_error);
   auto truncated = bytes;
-  truncated.resize(truncated.size() - 1);
+  truncated.pop_back();
   EXPECT_THROW(decode_footer(truncated), std::runtime_error);
 }
 

@@ -319,22 +319,32 @@ telemetry::ValidatedDataset load_scrubbed(const std::string& path,
   return validated;
 }
 
+/// The --action flag, parsed; throws on an unknown name.
+std::optional<telemetry::ActionType> action_flag(const cli::Args& args) {
+  const auto name = args.get("action");
+  if (!name) return std::nullopt;
+  const auto type = telemetry::parse_action_type(*name);
+  if (!type) throw std::invalid_argument("unknown action type: " + *name);
+  return type;
+}
+
+/// The --class flag, parsed; throws on an unknown name.
+std::optional<telemetry::UserClass> class_flag(const cli::Args& args) {
+  const auto name = args.get("class");
+  if (!name) return std::nullopt;
+  const auto user_class = telemetry::parse_user_class(*name);
+  if (!user_class) throw std::invalid_argument("unknown user class: " + *name);
+  return user_class;
+}
+
 telemetry::Dataset apply_slice_flags(const telemetry::Dataset& dataset,
                                      const cli::Args& args) {
   obs::Span span("slice");
-  std::vector<telemetry::RecordPredicate> predicates;
-  if (const auto action = args.get("action")) {
-    const auto type = telemetry::parse_action_type(*action);
-    if (!type) throw std::invalid_argument("unknown action type: " + *action);
-    predicates.push_back(telemetry::by_action(*type));
-  }
-  if (const auto user_class = args.get("class")) {
-    const auto parsed = telemetry::parse_user_class(*user_class);
-    if (!parsed) throw std::invalid_argument("unknown user class: " + *user_class);
-    predicates.push_back(telemetry::by_user_class(*parsed));
-  }
-  if (predicates.empty()) return dataset;
-  return dataset.filtered(telemetry::all_of(std::move(predicates)));
+  std::vector<telemetry::RecordFilter> terms;
+  if (const auto action = action_flag(args)) terms.push_back(telemetry::by_action(*action));
+  if (const auto cls = class_flag(args)) terms.push_back(telemetry::by_user_class(*cls));
+  if (terms.empty()) return dataset;
+  return dataset.filtered(telemetry::all_of(std::move(terms)));
 }
 
 core::AutoSensOptions options_from_flags(const cli::Args& args) {
@@ -466,37 +476,24 @@ int cmd_slices(const cli::Args& args) {
   const std::string by = args.require("by");
   const auto options = options_from_flags(args);
 
-  const auto action_or = [&args](telemetry::ActionType fallback) {
-    if (const auto name = args.get("action")) {
-      const auto type = telemetry::parse_action_type(*name);
-      if (!type) throw std::invalid_argument("unknown action type: " + *name);
-      return *type;
-    }
-    return fallback;
+  // --action (default SelectMail) is parsed only by the slicings that use it.
+  const auto action = [&args] {
+    return action_flag(args).value_or(telemetry::ActionType::kSelectMail);
   };
-  std::optional<telemetry::UserClass> user_class;
-  if (const auto name = args.get("class")) {
-    user_class = telemetry::parse_user_class(*name);
-    if (!user_class) throw std::invalid_argument("unknown user class: " + *name);
-  }
+  const auto user_class = class_flag(args);
 
   std::vector<core::NamedPreference> curves;
   if (by == "action") {
     curves = core::preference_by_action(dataset, options, user_class);
   } else if (by == "class") {
-    curves = core::preference_by_user_class(dataset, options,
-                                            action_or(telemetry::ActionType::kSelectMail));
+    curves = core::preference_by_user_class(dataset, options, action());
   } else if (by == "quartile") {
-    curves = core::preference_by_quartile(dataset, dataset, options,
-                                          action_or(telemetry::ActionType::kSelectMail),
-                                          user_class);
+    curves = core::preference_by_quartile(dataset, dataset, options, action(), user_class);
   } else if (by == "period") {
-    curves = core::preference_by_period(
-        dataset, options, action_or(telemetry::ActionType::kSelectMail),
-        user_class.value_or(telemetry::UserClass::kBusiness));
+    curves = core::preference_by_period(dataset, options, action(),
+                                        user_class.value_or(telemetry::UserClass::kBusiness));
   } else if (by == "month") {
-    curves = core::preference_by_month(dataset, options,
-                                       action_or(telemetry::ActionType::kSelectMail));
+    curves = core::preference_by_month(dataset, options, action());
   } else if (by == "dayclass") {
     auto slice = dataset;
     if (const auto name = args.get("action")) {
@@ -955,14 +952,8 @@ int cmd_store_analyze(const cli::Args& args) {
   const auto window_days = args.get_int("window-days", 7);
   if (window_days <= 0) throw std::invalid_argument("--window-days must be positive");
   stream.window_ms = window_days * telemetry::kMillisPerDay;
-  if (const auto action = args.get("action")) {
-    stream.action = telemetry::parse_action_type(*action);
-    if (!stream.action) throw std::invalid_argument("unknown action type: " + *action);
-  }
-  if (const auto user_class = args.get("class")) {
-    stream.user_class = telemetry::parse_user_class(*user_class);
-    if (!stream.user_class) throw std::invalid_argument("unknown user class: " + *user_class);
-  }
+  stream.action = action_flag(args);
+  stream.user_class = class_flag(args);
   stream.with_confidence = args.has("confidence");
   stream.confidence.replicates = static_cast<std::size_t>(args.get_int("replicates", 50));
   stream.probe_latencies = {500.0, 750.0, 1000.0, 1500.0, 2000.0};

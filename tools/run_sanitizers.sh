@@ -4,15 +4,13 @@
 #   <repo>/build-asan — AUTOSENS_SANITIZE=address + AUTOSENS_UBSAN=ON
 #   <repo>/build-tsan — AUTOSENS_SANITIZE=thread
 #
-# Each tree runs the net, parallel, obs, simd, and store ctest labels (the
-# fault-injection matrix, the wire fuzz corpus, the emitter/collector
-# pipeline, the parallel execution layer, the metrics registry, the
-# introspection HTTP server scraped live under a concurrent analyze, the
-# wire trace propagation suite, the runtime-dispatched SIMD kernels with
-# their scalar-vs-vector golden suite, and the out-of-core columnar store
-# whose mmap/varint decode paths are exactly where ASan/UBSan earn their
-# keep) —
-# the code where memory-safety and data-race bugs would actually live. Pass
+# Each tree runs the net, parallel, obs, simd, store and telemetry ctest
+# labels: the fault-injection matrix, the wire fuzz corpus, the
+# emitter/collector pipeline, the parallel execution layer, the metrics
+# registry, the live-scraped introspection server, wire trace propagation,
+# the dispatched SIMD kernels, the out-of-core store's mmap/varint decoders,
+# and the Dataset row gather behind validation and slicing — the code where
+# memory-safety and data-race bugs would actually live. Pass
 # --soak to also run the slow-labelled soak tests (ctest -C soak -L slow) in
 # each tree.
 #
@@ -36,13 +34,14 @@ while [[ $# -gt 0 ]]; do
   esac
 done
 
-# The test executables behind the net/parallel/obs/simd/store ctest labels.
+# The test executables behind those ctest labels.
 targets=(wire_test net_pipeline_test fault_test wire_fuzz_test
          net_fault_matrix_test net_trace_test spsc_test net_shard_test
          net_udp_test parallel_test
          parallel_determinism_test obs_metrics_test obs_trace_test
          obs_log_test obs_server_test simd_kernels_test simd_dispatch_test
-         store_test store_prune_test store_soak_test)
+         store_test store_prune_test store_soak_test
+         dataset_test filter_test validate_test)
 
 jobs="$(nproc 2>/dev/null || echo 2)"
 
@@ -53,8 +52,8 @@ run_tree() {
   cmake -B "$dir" -S "$repo_root" "$@" > /dev/null
   echo "=== [$label] build: ${targets[*]} ==="
   cmake --build "$dir" -j "$jobs" --target "${targets[@]}"
-  echo "=== [$label] ctest -L 'net|parallel|obs|simd|store' ==="
-  ctest --test-dir "$dir" -L 'net|parallel|obs|simd|store' -LE slow --output-on-failure -j "$jobs"
+  echo "=== [$label] ctest -L 'net|parallel|obs|simd|store|telemetry' ==="
+  ctest --test-dir "$dir" -L 'net|parallel|obs|simd|store|telemetry' -LE slow --output-on-failure -j "$jobs"
   if [[ "$soak" -eq 1 ]]; then
     echo "=== [$label] soak: ctest -C soak -L slow ==="
     ctest --test-dir "$dir" -C soak -L slow --output-on-failure
