@@ -1,7 +1,9 @@
 #include "core/confounder_dow.h"
 
 #include <stdexcept>
+#include <utility>
 
+#include "core/accumulator.h"
 #include "core/pipeline.h"
 #include "telemetry/clock.h"
 
@@ -35,74 +37,16 @@ std::vector<TimeWindow> day_class_windows(const telemetry::Dataset& dataset, Day
 DayClassActivity day_class_activity(const telemetry::Dataset& dataset,
                                     const AutoSensOptions& options) {
   if (dataset.empty()) throw std::invalid_argument("day_class_activity: empty dataset");
-  const auto times = dataset.times();
-  const auto latencies = dataset.latencies();
-
-  struct ClassData {
-    stats::Histogram counts;
-    stats::Histogram fractions;
-    double total_time = 0.0;
-    std::size_t records = 0;
-  };
-  std::array<ClassData, kDayClassCount> data = {
-      ClassData{stats::Histogram::covering(0.0, options.max_latency_ms,
-                                           options.alpha_bin_width_ms),
-                stats::Histogram::covering(0.0, options.max_latency_ms,
-                                           options.alpha_bin_width_ms),
-                0.0, 0},
-      ClassData{stats::Histogram::covering(0.0, options.max_latency_ms,
-                                           options.alpha_bin_width_ms),
-                stats::Histogram::covering(0.0, options.max_latency_ms,
-                                           options.alpha_bin_width_ms),
-                0.0, 0}};
-
-  for (int c = 0; c < kDayClassCount; ++c) {
-    const auto windows = day_class_windows(dataset, static_cast<DayClass>(c));
-    auto& cd = data[static_cast<std::size_t>(c)];
-    cd.fractions = unbiased_histogram_over_windows_sorted(times, latencies, windows,
-                                                          options.alpha_bin_width_ms,
-                                                          options.max_latency_ms);
-    for (const auto& w : windows) cd.total_time += static_cast<double>(w.length());
-  }
-  for (std::size_t i = 0; i < times.size(); ++i) {
-    auto& cd = data[static_cast<std::size_t>(day_class(times[i]))];
-    cd.counts.add(latencies[i]);
-    ++cd.records;
-  }
-
-  const auto& weekday = data[0];
-  const auto& weekend = data[1];
-  DayClassActivity activity;
-  activity.weekday_records = weekday.records;
-  activity.weekend_records = weekend.records;
-
-  const std::size_t bins = weekday.counts.size();
-  activity.latency_ms.resize(bins);
-  activity.beta_by_bin.assign(bins, 0.0);
-  activity.valid.assign(bins, 0);
-  const double wd_mass = weekday.fractions.total_weight();
-  const double we_mass = weekend.fractions.total_weight();
-  double sum = 0.0;
-  std::size_t used = 0;
-  for (std::size_t i = 0; i < bins; ++i) {
-    activity.latency_ms[i] = weekday.counts.bin_center(i);
-    if (wd_mass <= 0.0 || we_mass <= 0.0 || weekday.total_time <= 0.0 ||
-        weekend.total_time <= 0.0) {
-      continue;
-    }
-    const double f_wd = weekday.fractions.count(i) / wd_mass;
-    const double f_we = weekend.fractions.count(i) / we_mass;
-    const double c_wd = weekday.counts.count(i);
-    if (f_wd < 1e-3 || f_we < 1e-3 || c_wd < 10.0) continue;
-    const double rate_wd = c_wd / (f_wd * weekday.total_time);
-    const double rate_we = weekend.counts.count(i) / (f_we * weekend.total_time);
-    activity.beta_by_bin[i] = rate_we / rate_wd;
-    activity.valid[i] = 1;
-    sum += activity.beta_by_bin[i];
-    ++used;
-  }
-  activity.beta_weekend = used > 0 ? sum / static_cast<double>(used) : 1.0;
-  return activity;
+  const auto accumulator = Accumulator::fill(dataset.columns(), ClassGrid::kDay, options);
+  const auto weekday = static_cast<std::size_t>(DayClass::kWeekday);
+  const auto weekend = static_cast<std::size_t>(DayClass::kWeekend);
+  auto ratios = accumulator.rate_ratios(weekend, weekday);
+  return DayClassActivity{.beta_weekend = ratios.used > 0 ? ratios.mean : 1.0,
+                          .weekday_records = accumulator.records(weekday),
+                          .weekend_records = accumulator.records(weekend),
+                          .latency_ms = accumulator.alpha_bin_centers(),
+                          .beta_by_bin = std::move(ratios.ratio),
+                          .valid = std::move(ratios.valid)};
 }
 
 std::vector<DayClassPreference> preference_by_day_class(const telemetry::Dataset& dataset,

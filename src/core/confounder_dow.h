@@ -9,9 +9,9 @@
 #include <string_view>
 #include <vector>
 
+#include "core/accumulator.h"
 #include "core/options.h"
 #include "core/preference.h"
-#include "core/unbiased.h"
 #include "telemetry/dataset.h"
 
 namespace autosens::core {

@@ -23,22 +23,13 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/accumulator.h"
 #include "core/options.h"
-#include "core/unbiased.h"
 #include "stats/histogram.h"
 #include "telemetry/clock.h"
 #include "telemetry/dataset.h"
 
 namespace autosens::core {
-
-/// Per-slot (time-of-day class) diagnostics.
-struct SlotStat {
-  int slot = 0;                ///< Class index; start = slot * alpha_slot_ms.
-  std::size_t records = 0;
-  double total_time_ms = 0.0;  ///< Time the data covers in this class.
-  double alpha = 1.0;          ///< Estimated activity factor.
-  bool alpha_from_fallback = false;  ///< True if the per-bin estimate failed.
-};
 
 class TimeNormalizer {
  public:

@@ -1,8 +1,8 @@
 #include "core/pipeline.h"
 
+#include <optional>
 #include <stdexcept>
 
-#include "core/biased.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -17,11 +17,8 @@ struct PipelineMetrics {
       "autosens_pipeline_runs_total", "Completed analyze()/analyze_over_windows() runs");
   obs::Counter& records = obs::registry().counter(
       "autosens_pipeline_records_total", "Records entering the analysis pipeline");
-  obs::Histogram& biased_ms = obs::registry().histogram(
-      "autosens_stage_latency_ms{stage=\"biased\"}",
-      "Per-stage pipeline latency (milliseconds)");
-  obs::Histogram& alpha_ms = obs::registry().histogram(
-      "autosens_stage_latency_ms{stage=\"alpha_normalize\"}",
+  obs::Histogram& accumulate_ms = obs::registry().histogram(
+      "autosens_stage_latency_ms{stage=\"accumulate\"}",
       "Per-stage pipeline latency (milliseconds)");
   obs::Histogram& unbiased_ms = obs::registry().histogram(
       "autosens_stage_latency_ms{stage=\"unbiased\"}",
@@ -36,48 +33,29 @@ PipelineMetrics& metrics() {
   return handles;
 }
 
-const char* unbiased_method_name(const AutoSensOptions& options) {
-  return options.unbiased_method == UnbiasedMethod::kMonteCarlo ? "mc" : "voronoi";
-}
-
-/// The shared core of every analysis run over a sorted column view: the two
-/// estimator fills, the preference curve, and the run bookkeeping.
-/// `unbiased_fn(span)` supplies the U estimate under the "unbiased" span,
-/// tagged with `method` (the Dataset path routes it through the memoized
-/// Voronoi weights, the view path computes directly, the windowed path
-/// fills per window).
-template <typename UnbiasedFn>
+/// The shared core of every analysis run over a sorted column view: one
+/// accumulator pass, the Monte-Carlo U when options ask for it (whole-range
+/// runs only), the finished curve, and the run bookkeeping.
 AnalysisResult analyze_columns(telemetry::SampleColumns columns,
-                               const AutoSensOptions& options, const char* method,
-                               const UnbiasedFn& unbiased_fn) {
+                               std::span<const TimeWindow> windows,
+                               const AutoSensOptions& options) {
   metrics().records.inc(columns.size());
-
-  // B, α-normalized when enabled.
-  std::vector<SlotStat> slots;
-  stats::Histogram biased = [&] {
-    if (options.normalize_time_confounder) {
-      obs::Span span("alpha_normalize", &metrics().alpha_ms);
-      const TimeNormalizer normalizer(columns, options);
-      slots = normalizer.slots();
-      span.attr("slots", static_cast<std::int64_t>(slots.size()));
-      return normalizer.normalized_biased(columns);
-    }
-    obs::Span span("biased_fill", &metrics().biased_ms);
-    return biased_histogram(columns.latencies, options);
+  const auto accumulator = [&] {
+    obs::Span span("accumulate", &metrics().accumulate_ms);
+    span.attr("records", static_cast<std::int64_t>(columns.size()));
+    span.attr("windows", static_cast<std::int64_t>(windows.size()));
+    return Accumulator::fill(columns, ClassGrid::kSlot, options, windows);
   }();
-
-  stats::Histogram unbiased = [&] {
+  std::optional<stats::Histogram> monte_carlo;
+  if (windows.empty() && options.unbiased_method == UnbiasedMethod::kMonteCarlo) {
     obs::Span span("unbiased", &metrics().unbiased_ms);
-    span.attr("method", method);
-    return unbiased_fn(span);
-  }();
-
-  auto preference = [&] {
+    span.attr("method", "mc");
+    monte_carlo = unbiased_histogram(columns, options);
+  }
+  auto result = [&] {
     obs::Span span("preference", &metrics().preference_ms);
-    return compute_preference(biased, unbiased, options);
+    return accumulator.finish(std::move(monte_carlo));
   }();
-  // The α-normalization rescales weights; report the actual record count.
-  preference.biased_samples = columns.size();
   metrics().runs.inc();
   if (obs::enabled()) {
     // Readiness for /healthz: the analysis pipeline has produced at least
@@ -85,10 +63,7 @@ AnalysisResult analyze_columns(telemetry::SampleColumns columns,
     obs::Health::global().set_component(
         "pipeline", true, "runs=" + std::to_string(metrics().runs.value()));
   }
-  return AnalysisResult{.preference = std::move(preference),
-                        .biased = std::move(biased),
-                        .unbiased = std::move(unbiased),
-                        .slots = std::move(slots)};
+  return result;
 }
 
 }  // namespace
@@ -97,8 +72,7 @@ AnalysisResult analyze_detailed(const telemetry::Dataset& dataset,
                                 const AutoSensOptions& options) {
   if (dataset.empty()) throw std::invalid_argument("analyze: empty dataset");
   if (!dataset.is_sorted()) throw std::invalid_argument("analyze: dataset not sorted");
-  return analyze_columns(dataset.columns(), options, unbiased_method_name(options),
-                         [&](obs::Span&) { return unbiased_histogram(dataset, options); });
+  return analyze_columns(dataset.columns(), {}, options);
 }
 
 PreferenceResult analyze(const telemetry::Dataset& dataset, const AutoSensOptions& options) {
@@ -108,9 +82,7 @@ PreferenceResult analyze(const telemetry::Dataset& dataset, const AutoSensOption
 AnalysisResult analyze_detailed(const telemetry::DatasetView& view,
                                 const AutoSensOptions& options) {
   if (view.empty()) throw std::invalid_argument("analyze: empty dataset");
-  const auto columns = view.columns();
-  return analyze_columns(columns, options, unbiased_method_name(options),
-                         [&](obs::Span&) { return unbiased_histogram(columns, options); });
+  return analyze_columns(view.columns(), {}, options);
 }
 
 PreferenceResult analyze(const telemetry::DatasetView& view, const AutoSensOptions& options) {
@@ -125,12 +97,7 @@ AnalysisResult analyze_over_windows(const telemetry::Dataset& dataset,
     throw std::invalid_argument("analyze_over_windows: dataset not sorted");
   }
   if (windows.empty()) throw std::invalid_argument("analyze_over_windows: no windows");
-  return analyze_columns(dataset.columns(), options, "windows", [&](obs::Span& span) {
-    span.attr("windows", static_cast<std::int64_t>(windows.size()));
-    return unbiased_histogram_over_windows_sorted(dataset.times(), dataset.latencies(),
-                                                  windows, options.bin_width_ms,
-                                                  options.max_latency_ms, options.threads);
-  });
+  return analyze_columns(dataset.columns(), windows, options);
 }
 
 }  // namespace autosens::core

@@ -5,6 +5,7 @@
 
 #include <vector>
 
+#include "core/accumulator.h"
 #include "core/confounder_time.h"
 #include "core/options.h"
 #include "core/preference.h"
@@ -14,14 +15,6 @@
 #include "telemetry/dataset_view.h"
 
 namespace autosens::core {
-
-/// Everything one analysis produces; `preference` is the headline result.
-struct AnalysisResult {
-  PreferenceResult preference;
-  stats::Histogram biased;    ///< α-normalized when enabled in options.
-  stats::Histogram unbiased;
-  std::vector<SlotStat> slots;  ///< Empty when normalization is disabled.
-};
 
 /// Run AutoSens on a sorted, scrubbed dataset whose observation window is
 /// the dataset's own [begin, end) range. Throws std::invalid_argument on
@@ -43,7 +36,8 @@ PreferenceResult analyze(const telemetry::DatasetView& view, const AutoSensOptio
 /// Run AutoSens on a dataset observed only during `windows` (sorted,
 /// disjoint) — e.g. the daily 6-hour chunks of a time-of-day slice (§3.6).
 /// The unbiased distribution is estimated within each window to avoid the
-/// huge artificial Voronoi cells a gap would create.
+/// huge artificial Voronoi cells a gap would create; α still conditions on
+/// the time-of-day grid over the dataset's own range.
 AnalysisResult analyze_over_windows(const telemetry::Dataset& dataset,
                                     std::span<const TimeWindow> windows,
                                     const AutoSensOptions& options);

@@ -1,22 +1,16 @@
 #include "core/streaming.h"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
+#include <utility>
 
-#include "core/biased.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "stats/savitzky_golay.h"
-#include "telemetry/clock.h"
+#include "telemetry/validate.h"
 
 namespace autosens::core {
 namespace {
-
-constexpr double kMinTimeFraction = 1e-3;
-constexpr double kMinReferenceCount = 10.0;
-constexpr double kAlphaFloor = 0.02;
 
 struct StreamingMetrics {
   obs::Counter& seen = obs::registry().counter(
@@ -50,75 +44,35 @@ obs::Gauge& alpha_gauge(std::size_t class_index) {
 }  // namespace
 
 StreamingAutoSens::StreamingAutoSens(AutoSensOptions options)
-    : options_(options),
-      unbiased_time_(stats::Histogram::covering(0.0, options.max_latency_ms,
-                                                options.bin_width_ms)) {
-  if (options_.alpha_slot_ms <= 0 ||
-      telemetry::kMillisPerDay % options_.alpha_slot_ms != 0) {
-    throw std::invalid_argument("StreamingAutoSens: alpha_slot_ms must evenly divide a day");
-  }
+    : accumulator_(ClassGrid::kSlot, options) {
   // Fail fast on a bad smoothing configuration instead of at snapshot time.
-  (void)stats::SavitzkyGolay(options_.smoothing);
-  const auto class_count =
-      static_cast<std::size_t>(telemetry::kMillisPerDay / options_.alpha_slot_ms);
-  classes_.reserve(class_count);
-  for (std::size_t k = 0; k < class_count; ++k) {
-    classes_.push_back(
-        {stats::Histogram::covering(0.0, options_.max_latency_ms, options_.bin_width_ms),
-         stats::Histogram::covering(0.0, options_.max_latency_ms,
-                                    options_.alpha_bin_width_ms),
-         stats::Histogram::covering(0.0, options_.max_latency_ms,
-                                    options_.alpha_bin_width_ms),
-         0.0, 0});
-  }
-}
-
-std::size_t StreamingAutoSens::class_of(std::int64_t time_ms) const noexcept {
-  return static_cast<std::size_t>(
-      ((time_ms % telemetry::kMillisPerDay) + telemetry::kMillisPerDay) %
-      telemetry::kMillisPerDay / options_.alpha_slot_ms);
+  (void)stats::SavitzkyGolay(options.smoothing);
 }
 
 void StreamingAutoSens::feed_sample(std::int64_t time_ms, double latency_ms,
                                     telemetry::ActionStatus status) {
-  if (previous_ && time_ms < previous_->time_ms) {
+  const bool kept =
+      telemetry::drop_reason(time_ms, latency_ms, status) == telemetry::DropReason::kKept;
+  if (kept && !run_latencies_.empty() && time_ms < run_ms_) {
     throw std::invalid_argument("StreamingAutoSens::feed: records must be time-ordered");
   }
   ++seen_;
   streaming_metrics().seen.inc();
-
-  // Hold-last time weighting: the interval since the previous usable sample
-  // is attributed to that sample's latency, split across time-of-day class
-  // boundaries so per-class time fractions stay exact.
-  if (previous_) {
-    std::int64_t t = previous_->time_ms;
-    const double latency = previous_->latency_ms;
-    unbiased_time_.add(latency, static_cast<double>(time_ms - t));
-    while (t < time_ms) {
-      const std::int64_t class_end =
-          (t / options_.alpha_slot_ms + 1) * options_.alpha_slot_ms;
-      const std::int64_t segment_end = std::min(class_end, time_ms);
-      auto& cls = classes_[class_of(t)];
-      cls.time_alpha.add(latency, static_cast<double>(segment_end - t));
-      cls.total_time_ms += static_cast<double>(segment_end - t);
-      t = segment_end;
-    }
-  }
-
-  // Scrub policy mirrors telemetry::validate defaults.
-  if (status == telemetry::ActionStatus::kError || !(latency_ms > 0.0) ||
-      !std::isfinite(latency_ms)) {
-    // Excluded from counts but still advances the clock for time weighting
-    // only if usable as a latency sample — it is not, so keep previous_.
-    return;
-  }
-  previous_ = PrevSample{time_ms, latency_ms};
+  if (!kept) return;
   ++used_;
   streaming_metrics().used.inc();
-  auto& cls = classes_[class_of(time_ms)];
-  cls.counts_fine.add(latency_ms);
-  cls.counts_alpha.add(latency_ms);
-  ++cls.records;
+  if (!run_latencies_.empty() && time_ms > run_ms_) {
+    // The next distinct time closes the pending run's Voronoi cells.
+    accumulator_.add_run(previous_ms_, run_ms_, time_ms, run_latencies_,
+                         TimeWindow{.begin_ms = *first_ms_, .end_ms = time_ms + 1});
+    previous_ms_ = run_ms_;
+    run_latencies_.clear();
+  }
+  if (run_latencies_.empty()) {
+    run_ms_ = time_ms;
+    if (!first_ms_) first_ms_ = time_ms;
+  }
+  run_latencies_.push_back(latency_ms);
 }
 
 void StreamingAutoSens::feed(const telemetry::ActionRecord& record) {
@@ -134,102 +88,30 @@ void StreamingAutoSens::feed_all(const telemetry::Dataset& dataset) {
   }
 }
 
-std::vector<double> StreamingAutoSens::compute_alpha() const {
-  // Reference classes: the busiest ones, as in the batch TimeNormalizer.
-  std::vector<std::size_t> order(classes_.size());
-  for (std::size_t k = 0; k < order.size(); ++k) order[k] = k;
-  std::sort(order.begin(), order.end(), [this](std::size_t a, std::size_t b) {
-    return classes_[a].records > classes_[b].records;
-  });
-  std::vector<std::size_t> references;
-  for (const std::size_t idx : order) {
-    if (references.size() >= options_.alpha_reference_slots) break;
-    if (classes_[idx].records >= options_.alpha_min_slot_records) references.push_back(idx);
-  }
-  if (references.empty()) references.push_back(order.front());
-
-  double reference_rate = 0.0;
-  for (const std::size_t r : references) {
-    reference_rate += classes_[r].total_time_ms > 0.0
-                          ? static_cast<double>(classes_[r].records) /
-                                classes_[r].total_time_ms
-                          : 0.0;
-  }
-  reference_rate /= static_cast<double>(references.size());
-
-  const auto pair_alpha = [this](const ClassState& slot, const ClassState& reference) {
-    const double slot_mass = slot.time_alpha.total_weight();
-    const double ref_mass = reference.time_alpha.total_weight();
-    if (slot_mass <= 0.0 || ref_mass <= 0.0) return std::nan("");
-    double sum = 0.0;
-    std::size_t bins = 0;
-    for (std::size_t i = 0; i < slot.counts_alpha.size(); ++i) {
-      const double f_s = slot.time_alpha.count(i) / slot_mass;
-      const double f_r = reference.time_alpha.count(i) / ref_mass;
-      const double c_r = reference.counts_alpha.count(i);
-      if (f_s < kMinTimeFraction || f_r < kMinTimeFraction || c_r < kMinReferenceCount) {
-        continue;
-      }
-      const double rate_s = slot.counts_alpha.count(i) / (f_s * slot.total_time_ms);
-      const double rate_r = c_r / (f_r * reference.total_time_ms);
-      sum += rate_s / rate_r;
-      ++bins;
-    }
-    return bins > 0 ? sum / static_cast<double>(bins) : std::nan("");
-  };
-
-  std::vector<double> alpha(classes_.size(), 1.0);
-  for (std::size_t k = 0; k < classes_.size(); ++k) {
-    double sum = 0.0;
-    std::size_t used = 0;
-    for (const std::size_t r : references) {
-      const double a = pair_alpha(classes_[k], classes_[r]);
-      if (std::isfinite(a) && a > 0.0) {
-        sum += a;
-        ++used;
-      }
-    }
-    if (used > 0) {
-      alpha[k] = std::max(sum / static_cast<double>(used), kAlphaFloor);
-    } else {
-      const double rate = classes_[k].total_time_ms > 0.0
-                              ? static_cast<double>(classes_[k].records) /
-                                    classes_[k].total_time_ms
-                              : 0.0;
-      alpha[k] = std::max(rate / reference_rate, kAlphaFloor);
-    }
-  }
-  return alpha;
+Accumulator StreamingAutoSens::closed() const {
+  if (used_ == 0) throw std::logic_error("StreamingAutoSens: no records fed");
+  Accumulator accumulator = accumulator_;
+  accumulator.add_run(previous_ms_, run_ms_, std::nullopt, run_latencies_,
+                      TimeWindow{.begin_ms = *first_ms_, .end_ms = run_ms_ + 1});
+  return accumulator;
 }
 
 std::vector<double> StreamingAutoSens::alpha_by_class() const {
-  if (used_ == 0) throw std::logic_error("StreamingAutoSens: no records fed");
-  return compute_alpha();
+  std::vector<double> alpha;
+  for (const auto& slot : closed().solve_alpha()) alpha.push_back(slot.alpha);
+  return alpha;
 }
 
 PreferenceResult StreamingAutoSens::snapshot() const {
-  if (used_ == 0) throw std::logic_error("StreamingAutoSens: no records fed");
+  const Accumulator accumulator = closed();
   obs::Span span("streaming_snapshot", &streaming_metrics().snapshot_ms);
   span.attr("records_used", static_cast<std::int64_t>(used_));
-
-  auto biased = make_latency_histogram(options_);
-  if (options_.normalize_time_confounder) {
-    const auto alpha = compute_alpha();
-    if (obs::enabled()) {
-      for (std::size_t k = 0; k < alpha.size(); ++k) alpha_gauge(k).set(alpha[k]);
+  auto result = accumulator.finish();
+  if (obs::enabled()) {
+    for (const auto& slot : result.slots) {
+      alpha_gauge(static_cast<std::size_t>(slot.slot)).set(slot.alpha);
     }
-    for (std::size_t k = 0; k < classes_.size(); ++k) {
-      for (std::size_t i = 0; i < biased.size(); ++i) {
-        const double count = classes_[k].counts_fine.count(i);
-        if (count > 0.0) biased.set_count(i, biased.count(i) + count / alpha[k]);
-      }
-    }
-  } else {
-    for (const auto& cls : classes_) biased.merge(cls.counts_fine);
   }
-
-  auto preference = compute_preference(biased, unbiased_time_, options_);
-  preference.biased_samples = used_;
   streaming_metrics().snapshots.inc();
   streaming_metrics().cadence.set(static_cast<double>(used_ - used_at_last_snapshot_));
   used_at_last_snapshot_ = used_;
@@ -241,7 +123,7 @@ PreferenceResult StreamingAutoSens::snapshot() const {
         "records_used=" + std::to_string(used_) +
             ", snapshots=" + std::to_string(streaming_metrics().snapshots.value()));
   }
-  return preference;
+  return std::move(result.preference);
 }
 
 }  // namespace autosens::core

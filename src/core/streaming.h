@@ -3,24 +3,24 @@
 // ingesting a live collector feed needs (the batch pipeline requires the
 // whole dataset in memory).
 //
-// Approximations relative to the batch path, both one-sided and small:
-//   * U weighting is hold-last instead of nearest-sample: sample i owns the
-//     interval [t_i, t_{i+1}) rather than the Voronoi cell around t_i —
-//     the same time-weighting shifted by half a gap. For gap distributions
-//     symmetric in time (ours are), the binned U is statistically identical.
-//   * α uses the same time-of-day-class machinery as the batch
-//     TimeNormalizer, recomputed at snapshot time from streaming per-class
-//     accumulators, so snapshots converge to the batch estimate.
-// Memory is O(bins): independent of how many records have been fed.
+// Snapshots are exact, not approximate: the stream feeds the same
+// core::Accumulator the batch pipeline fills, one duplicate-time run at a
+// time with one sample of lookahead (a run's Voronoi cells close when the
+// next distinct time arrives; a snapshot closes the pending run at the end
+// of the data). Records are scrubbed with telemetry::validate's record-local
+// rule at its default ValidationOptions, and scrubbed records get no time.
+// So a snapshot is byte-identical to analyze_detailed(validate(fed).dataset)
+// over the records fed so far. Memory is O(bins) plus the pending run:
+// independent of how many records have been fed.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <vector>
 
+#include "core/accumulator.h"
 #include "core/options.h"
 #include "core/preference.h"
-#include "stats/histogram.h"
 #include "telemetry/dataset.h"
 #include "telemetry/record.h"
 
@@ -31,10 +31,10 @@ class StreamingAutoSens {
   /// Validates options eagerly (geometry, smoothing, α slots).
   explicit StreamingAutoSens(AutoSensOptions options);
 
-  /// Feed one record. Records must arrive in non-decreasing time order
-  /// (throws std::invalid_argument otherwise — feed from a collector or a
-  /// sorted log). Error-status records are counted but excluded, matching
-  /// telemetry::validate's default policy.
+  /// Feed one record. Records that telemetry::validate would drop are
+  /// counted and skipped; the kept ones must arrive in non-decreasing time
+  /// order (throws std::invalid_argument otherwise — feed from a collector
+  /// or a sorted log).
   void feed(const telemetry::ActionRecord& record);
 
   /// Feed an entire sorted dataset by scanning its time / latency / status
@@ -55,29 +55,17 @@ class StreamingAutoSens {
   std::vector<double> alpha_by_class() const;
 
  private:
-  struct ClassState {
-    stats::Histogram counts_fine;   ///< B counts, analysis bins.
-    stats::Histogram counts_alpha;  ///< B counts, α bins.
-    stats::Histogram time_alpha;    ///< Time at latency, α bins (ms).
-    double total_time_ms = 0.0;
-    std::size_t records = 0;
-  };
-
-  /// The last usable sample — all the hold-last weighting needs from it.
-  struct PrevSample {
-    std::int64_t time_ms = 0;
-    double latency_ms = 0.0;
-  };
-
-  std::size_t class_of(std::int64_t time_ms) const noexcept;
   void feed_sample(std::int64_t time_ms, double latency_ms,
                    telemetry::ActionStatus status);
-  std::vector<double> compute_alpha() const;
+  /// The statistics so far, with the pending run closed at the end of the
+  /// data.
+  Accumulator closed() const;
 
-  AutoSensOptions options_;
-  std::vector<ClassState> classes_;
-  stats::Histogram unbiased_time_;  ///< Global U: time-weighted, analysis bins.
-  std::optional<PrevSample> previous_;
+  Accumulator accumulator_;  ///< Every closed run.
+  std::optional<std::int64_t> first_ms_;     ///< First kept record.
+  std::optional<std::int64_t> previous_ms_;  ///< Time of the last closed run.
+  std::int64_t run_ms_ = 0;                  ///< Time of the pending run.
+  std::vector<double> run_latencies_;        ///< The pending run (empty: none).
   std::size_t seen_ = 0;
   std::size_t used_ = 0;
   /// records_used() at the previous snapshot — feeds the snapshot-cadence

@@ -1,15 +1,12 @@
 #include "core/unbiased.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "core/biased.h"
 #include "core/parallel.h"
-#include "core/simd.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "stats/sampling.h"
-#include "stats/scratch.h"
 
 namespace autosens::core {
 namespace {
@@ -18,24 +15,6 @@ obs::Counter& mc_draw_counter() {
   static obs::Counter& counter = obs::registry().counter(
       "autosens_unbiased_mc_draws_total", "Monte-Carlo nearest-sample draws performed");
   return counter;
-}
-
-/// Voronoi fill from precomputed weights (shared by the direct and cached
-/// entry points).
-stats::Histogram voronoi_fill(std::span<const double> latencies,
-                              std::span<const double> weights,
-                              const AutoSensOptions& options) {
-  obs::Span span("unbiased_voronoi");
-  span.attr("samples", static_cast<std::int64_t>(latencies.size()));
-  return parallel_map_reduce<stats::Histogram>(
-      latencies.size(), options.threads, kRecordChunk,
-      [&](std::size_t begin, std::size_t end, std::size_t /*chunk*/) {
-        auto histogram = make_latency_histogram_pooled(options);
-        histogram.add_all(latencies.subspan(begin, end - begin),
-                          weights.subspan(begin, end - begin));
-        return histogram;
-      },
-      merge_and_recycle);
 }
 
 }  // namespace
@@ -79,54 +58,12 @@ stats::Histogram unbiased_histogram_voronoi(std::span<const std::int64_t> times,
   }
   const auto weights =
       stats::voronoi_weights(times, window.begin_ms, window.end_ms, options.threads);
-  return voronoi_fill(latencies, weights, options);
-}
-
-stats::Histogram unbiased_histogram_over_windows(std::span<const std::int64_t> times,
-                                                 std::span<const double> latencies,
-                                                 std::span<const TimeWindow> windows,
-                                                 double bin_width_ms, double max_latency_ms,
-                                                 std::size_t threads) {
-  if (!std::is_sorted(times.begin(), times.end())) {
-    throw std::invalid_argument("unbiased_histogram_over_windows: times not sorted");
-  }
-  return unbiased_histogram_over_windows_sorted(times, latencies, windows, bin_width_ms,
-                                                max_latency_ms, threads);
-}
-
-stats::Histogram unbiased_histogram_over_windows_sorted(
-    std::span<const std::int64_t> times, std::span<const double> latencies,
-    std::span<const TimeWindow> windows, double bin_width_ms, double max_latency_ms,
-    std::size_t threads) {
-  if (times.size() != latencies.size()) {
-    throw std::invalid_argument("unbiased_histogram_over_windows: size mismatch");
-  }
-  for (const auto& window : windows) {
-    if (!(window.end_ms > window.begin_ms)) {
-      throw std::invalid_argument("unbiased_histogram_over_windows: empty window");
-    }
-  }
-  // One task per window, partial histograms merged in window order.
   return parallel_map_reduce<stats::Histogram>(
-      windows.size(), threads, 1,
+      latencies.size(), options.threads, kRecordChunk,
       [&](std::size_t begin, std::size_t end, std::size_t /*chunk*/) {
-        auto histogram = stats::Histogram::covering(0.0, max_latency_ms, bin_width_ms,
-                                                    stats::ScratchPool<double>::take());
-        for (std::size_t w = begin; w < end; ++w) {
-          const auto& window = windows[w];
-          // Samples inside this window only.
-          const auto first = std::lower_bound(times.begin(), times.end(), window.begin_ms);
-          const auto last = std::lower_bound(times.begin(), times.end(), window.end_ms);
-          const auto lo = static_cast<std::size_t>(first - times.begin());
-          const auto count = static_cast<std::size_t>(last - first);
-          if (count == 0) continue;
-          auto weights =
-              stats::voronoi_weights(times.subspan(lo, count), window.begin_ms, window.end_ms);
-          // Weight by window duration so pooled U is time-weighted across windows.
-          const double duration = static_cast<double>(window.length());
-          simd::scale(weights, duration);
-          histogram.add_all(latencies.subspan(lo, count), weights);
-        }
+        auto histogram = make_latency_histogram_pooled(options);
+        histogram.add_all(latencies.subspan(begin, end - begin),
+                          std::span<const double>(weights).subspan(begin, end - begin));
         return histogram;
       },
       merge_and_recycle);
@@ -135,28 +72,19 @@ stats::Histogram unbiased_histogram_over_windows_sorted(
 stats::Histogram unbiased_histogram(telemetry::SampleColumns columns,
                                     const AutoSensOptions& options) {
   if (columns.empty()) throw std::invalid_argument("unbiased_histogram: empty dataset");
-  const TimeWindow window{.begin_ms = columns.begin_time(), .end_ms = columns.end_time()};
   if (options.unbiased_method == UnbiasedMethod::kMonteCarlo) {
+    const TimeWindow window{.begin_ms = columns.begin_time(), .end_ms = columns.end_time()};
     stats::Random random(options.seed);
     return unbiased_histogram_mc(columns.times, columns.latencies, window, options, random);
   }
-  return unbiased_histogram_voronoi(columns.times, columns.latencies, window, options);
+  obs::Span span("unbiased_voronoi");
+  span.attr("samples", static_cast<std::int64_t>(columns.size()));
+  return Accumulator::fill(columns, ClassGrid::kSlot, options).unbiased();
 }
 
 stats::Histogram unbiased_histogram(const telemetry::Dataset& dataset,
                                     const AutoSensOptions& options) {
-  if (dataset.empty()) throw std::invalid_argument("unbiased_histogram: empty dataset");
-  const TimeWindow window{.begin_ms = dataset.begin_time(), .end_ms = dataset.end_time()};
-  if (options.unbiased_method == UnbiasedMethod::kMonteCarlo) {
-    stats::Random random(options.seed);
-    return unbiased_histogram_mc(dataset.times(), dataset.latencies(), window, options,
-                                 random);
-  }
-  // Voronoi weights over the dataset's own window are memoized on the
-  // dataset, so repeated analyses skip the O(n) weight pass.
-  const auto weights =
-      dataset.voronoi_weights_cached(window.begin_ms, window.end_ms, options.threads);
-  return voronoi_fill(dataset.latencies(), weights, options);
+  return unbiased_histogram(dataset.columns(), options);
 }
 
 }  // namespace autosens::core

@@ -9,19 +9,13 @@
 #include <span>
 #include <vector>
 
+#include "core/accumulator.h"
 #include "core/options.h"
 #include "stats/histogram.h"
 #include "stats/rng.h"
 #include "telemetry/dataset.h"
 
 namespace autosens::core {
-
-/// A half-open time window [begin_ms, end_ms).
-struct TimeWindow {
-  std::int64_t begin_ms = 0;
-  std::int64_t end_ms = 0;
-  std::int64_t length() const noexcept { return end_ms - begin_ms; }
-};
 
 /// U over one window via the paper's Monte-Carlo procedure. `times` sorted
 /// ascending, aligned with `latencies`; only samples' nearest-relation to
@@ -37,37 +31,14 @@ stats::Histogram unbiased_histogram_voronoi(std::span<const std::int64_t> times,
                                             TimeWindow window,
                                             const AutoSensOptions& options);
 
-/// U pooled over several disjoint windows, each weighted by its duration
-/// and estimated from only the samples inside it (used for per-period and
-/// per-slot distributions, §2.4.1 / §3.6). Windows must be sorted and
-/// non-overlapping; windows without samples contribute nothing.
-/// `bin_width_ms` lets callers pick the α-estimation bin width. `threads`
-/// parallelizes over windows (partials merged in window order; byte-identical
-/// for any value). Validates that `times` is sorted ascending (throws
-/// std::invalid_argument otherwise — an unsorted column silently corrupts
-/// the per-window binary searches).
-stats::Histogram unbiased_histogram_over_windows(std::span<const std::int64_t> times,
-                                                 std::span<const double> latencies,
-                                                 std::span<const TimeWindow> windows,
-                                                 double bin_width_ms, double max_latency_ms,
-                                                 std::size_t threads = 1);
-
-/// Same, but skips the O(n) sortedness scan. For callers whose columns are
-/// sorted by construction (Dataset's sorted flag, DatasetView ordering, or a
-/// single upfront check amortized over many window sets).
-stats::Histogram unbiased_histogram_over_windows_sorted(
-    std::span<const std::int64_t> times, std::span<const double> latencies,
-    std::span<const TimeWindow> windows, double bin_width_ms, double max_latency_ms,
-    std::size_t threads = 1);
-
 /// U over a sorted column view's own [begin, end) window, honoring
-/// options.unbiased_method (used by the bootstrap view path).
+/// options.unbiased_method. The Voronoi branch is the estimator core's
+/// global U (Accumulator::unbiased): a probability per bin.
 stats::Histogram unbiased_histogram(telemetry::SampleColumns columns,
                                     const AutoSensOptions& options);
 
 /// Dataset-level convenience over the dataset's own [begin, end) window,
-/// honoring options.unbiased_method. The Voronoi path reuses the dataset's
-/// memoized weights (Dataset::voronoi_weights_cached).
+/// honoring options.unbiased_method.
 stats::Histogram unbiased_histogram(const telemetry::Dataset& dataset,
                                     const AutoSensOptions& options);
 

@@ -497,13 +497,13 @@ std::size_t Collector::apply_event(ShardEvent& event) {
           obs::log_info("collector.drop_connection", {{"reason", "resync_budget"}});
           break;
         case ShardEvent::EofReason::kClean: {
-          // Peer closed. Clean after a goodbye; a session that vanishes
-          // without one may yet resume on a reconnect (counted
-          // interrupted); a sessionless stream that sent bytes but never
-          // finished a goodbye is a protocol failure.
-          std::lock_guard lock(sessions_mutex_);
+          // Peer closed. Clean after a goodbye; a session connection that
+          // ends without one is interrupted even when its reconnect has
+          // already said goodbye (the shards may hand that reconnect's
+          // frames over before this EOF); a sessionless stream that sent
+          // bytes but never finished a goodbye is a protocol failure.
           if (!conn.saw_goodbye) {
-            if (conn.session_id != 0 && !sessions_[conn.session_id].said_goodbye) {
+            if (conn.session_id != 0) {
               stats_.interrupted_connections.add();
               collector_metrics().interrupted.inc();
               obs::log_debug("collector.interrupted",

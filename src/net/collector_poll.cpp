@@ -359,14 +359,12 @@ bool PollCollector::serve_until_goodbye(std::size_t expected_goodbyes, int timeo
           to_close.push_back(i);
         }
       } else if (n == 0) {
-        // Peer closed. Clean after a goodbye; a session that vanishes
-        // without one may yet resume on a reconnect (counted interrupted);
-        // a sessionless stream that sent bytes but never finished a
-        // goodbye is a protocol failure.
-        std::lock_guard sessions_lock(sessions_mutex_);
+        // Peer closed. Clean after a goodbye; a session connection that
+        // ends without one is interrupted, whether or not a reconnect has
+        // already said goodbye; a sessionless stream that sent bytes but
+        // never finished a goodbye is a protocol failure.
         if (!connection.saw_goodbye) {
-          if (connection.session_id != 0 &&
-              !sessions_[connection.session_id].said_goodbye) {
+          if (connection.session_id != 0) {
             stats_.interrupted_connections.add();
             collector_metrics().interrupted.inc();
             obs::log_debug("collector.interrupted",

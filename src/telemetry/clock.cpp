@@ -1,7 +1,6 @@
 #include "telemetry/clock.h"
 
 namespace autosens::telemetry {
-namespace {
 
 std::int64_t floor_div(std::int64_t a, std::int64_t b) noexcept {
   std::int64_t q = a / b;
@@ -12,8 +11,6 @@ std::int64_t floor_div(std::int64_t a, std::int64_t b) noexcept {
 std::int64_t floor_mod(std::int64_t a, std::int64_t b) noexcept {
   return a - floor_div(a, b) * b;
 }
-
-}  // namespace
 
 int hour_of_day(std::int64_t time_ms) noexcept {
   return static_cast<int>(floor_mod(time_ms, kMillisPerDay) / kMillisPerHour);

@@ -15,6 +15,11 @@ inline constexpr std::int64_t kMillisPerMinute = 60 * kMillisPerSecond;
 inline constexpr std::int64_t kMillisPerHour = 60 * kMillisPerMinute;
 inline constexpr std::int64_t kMillisPerDay = 24 * kMillisPerHour;
 
+/// Division rounding toward negative infinity, and its remainder in [0, b)
+/// for b > 0 (correct for negative times).
+std::int64_t floor_div(std::int64_t a, std::int64_t b) noexcept;
+std::int64_t floor_mod(std::int64_t a, std::int64_t b) noexcept;
+
 /// Hour of day in [0, 24).
 int hour_of_day(std::int64_t time_ms) noexcept;
 

@@ -1,90 +1,19 @@
 #include "telemetry/dataset.h"
 
 #include <algorithm>
-#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
 
 #include "stats/descriptive.h"
-#include "stats/sampling.h"
 #include "stats/scratch.h"
 
 namespace autosens::telemetry {
 
-/// Memoized full-window Voronoi weights (see voronoi_weights_cached). The
-/// cache is per-dataset state, not shared between copies.
-struct Dataset::VoronoiCache {
-  std::mutex mutex;
-  bool valid = false;
-  std::int64_t begin_ms = 0;
-  std::int64_t end_ms = 0;
-  std::vector<double> weights;
-};
-
-// Invariant: voronoi_ is always allocated (so the cache's lazy fill can be
-// guarded by its own mutex without racing on the pointer itself). Moved-from
-// datasets get a fresh empty cache.
-Dataset::Dataset() : voronoi_(std::make_unique<VoronoiCache>()) {}
-Dataset::~Dataset() = default;
-
-Dataset::Dataset(std::vector<ActionRecord> records) : Dataset() {
+Dataset::Dataset(std::vector<ActionRecord> records) {
   reserve(records.size());
   for (const auto& r : records) add(r);
-}
-
-Dataset::Dataset(const Dataset& other)
-    : time_ms_(other.time_ms_),
-      latency_ms_(other.latency_ms_),
-      user_id_(other.user_id_),
-      action_(other.action_),
-      user_class_(other.user_class_),
-      status_(other.status_),
-      sorted_(other.sorted_),
-      voronoi_(std::make_unique<VoronoiCache>()) {}
-
-Dataset& Dataset::operator=(const Dataset& other) {
-  if (this != &other) {
-    time_ms_ = other.time_ms_;
-    latency_ms_ = other.latency_ms_;
-    user_id_ = other.user_id_;
-    action_ = other.action_;
-    user_class_ = other.user_class_;
-    status_ = other.status_;
-    sorted_ = other.sorted_;
-    invalidate_cache();
-  }
-  return *this;
-}
-
-Dataset::Dataset(Dataset&& other) noexcept
-    : time_ms_(std::move(other.time_ms_)),
-      latency_ms_(std::move(other.latency_ms_)),
-      user_id_(std::move(other.user_id_)),
-      action_(std::move(other.action_)),
-      user_class_(std::move(other.user_class_)),
-      status_(std::move(other.status_)),
-      sorted_(other.sorted_),
-      voronoi_(std::move(other.voronoi_)) {
-  other.sorted_ = true;
-  other.voronoi_ = std::make_unique<VoronoiCache>();
-}
-
-Dataset& Dataset::operator=(Dataset&& other) noexcept {
-  if (this != &other) {
-    time_ms_ = std::move(other.time_ms_);
-    latency_ms_ = std::move(other.latency_ms_);
-    user_id_ = std::move(other.user_id_);
-    action_ = std::move(other.action_);
-    user_class_ = std::move(other.user_class_);
-    status_ = std::move(other.status_);
-    sorted_ = other.sorted_;
-    voronoi_ = std::move(other.voronoi_);
-    other.sorted_ = true;
-    other.voronoi_ = std::make_unique<VoronoiCache>();
-  }
-  return *this;
 }
 
 void Dataset::reserve(std::size_t capacity) {
@@ -106,7 +35,6 @@ void Dataset::add(ActionRecord record) {
   action_.push_back(record.action);
   user_class_.push_back(record.user_class);
   status_.push_back(record.status);
-  invalidate_cache();
 }
 
 void Dataset::append_columns(std::span<const std::int64_t> times,
@@ -134,7 +62,6 @@ void Dataset::append_columns(std::span<const std::int64_t> times,
   action_.insert(action_.end(), actions.begin(), actions.end());
   user_class_.insert(user_class_.end(), user_classes.begin(), user_classes.end());
   status_.insert(status_.end(), statuses.begin(), statuses.end());
-  invalidate_cache();
 }
 
 void Dataset::adopt_columns(std::vector<std::int64_t> times, std::vector<double> latencies,
@@ -154,14 +81,6 @@ void Dataset::adopt_columns(std::vector<std::int64_t> times, std::vector<double>
   user_class_ = std::move(user_classes);
   status_ = std::move(statuses);
   sorted_ = std::is_sorted(time_ms_.begin(), time_ms_.end());
-  invalidate_cache();
-}
-
-std::vector<ActionRecord> Dataset::records() const {
-  std::vector<ActionRecord> out;
-  out.reserve(size());
-  for (std::size_t i = 0; i < size(); ++i) out.push_back((*this)[i]);
-  return out;
 }
 
 namespace {
@@ -214,7 +133,6 @@ void Dataset::sort_by_time() {
   apply_permutation(status_, perm);
   stats::ScratchPool<std::uint64_t>::give(std::move(perm));
   sorted_ = true;
-  invalidate_cache();
 }
 
 std::int64_t Dataset::begin_time() const {
@@ -240,24 +158,6 @@ std::unordered_map<std::uint64_t, double> Dataset::per_user_median_latency() con
     medians.emplace(user, stats::median(latencies));
   }
   return medians;
-}
-
-std::span<const double> Dataset::voronoi_weights_cached(std::int64_t begin_ms,
-                                                        std::int64_t end_ms,
-                                                        std::size_t threads) const {
-  if (!voronoi_) voronoi_ = std::make_unique<VoronoiCache>();
-  std::lock_guard<std::mutex> lock(voronoi_->mutex);
-  if (!voronoi_->valid || voronoi_->begin_ms != begin_ms || voronoi_->end_ms != end_ms) {
-    voronoi_->weights = stats::voronoi_weights(time_ms_, begin_ms, end_ms, threads);
-    voronoi_->begin_ms = begin_ms;
-    voronoi_->end_ms = end_ms;
-    voronoi_->valid = true;
-  }
-  return voronoi_->weights;
-}
-
-void Dataset::invalidate_cache() noexcept {
-  if (voronoi_) voronoi_->valid = false;
 }
 
 }  // namespace autosens::telemetry

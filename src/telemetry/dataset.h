@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <stdexcept>
 #include <unordered_map>
@@ -47,13 +46,8 @@ struct SampleColumns {
 
 class Dataset {
  public:
-  Dataset();
+  Dataset() = default;
   explicit Dataset(std::vector<ActionRecord> records);
-  Dataset(const Dataset& other);
-  Dataset& operator=(const Dataset& other);
-  Dataset(Dataset&& other) noexcept;
-  Dataset& operator=(Dataset&& other) noexcept;
-  ~Dataset();
 
   /// Append one record. Invalidates sortedness; sort happens lazily via
   /// ensure_sorted() or eagerly through sort_by_time().
@@ -89,10 +83,6 @@ class Dataset {
                         .user_class = user_class_[i],
                         .status = status_[i]};
   }
-  /// Materialized AoS copy, for serialization and compatibility call sites.
-  /// O(n) gather — hot loops should take the column spans instead.
-  std::vector<ActionRecord> records() const;
-
   /// Sort records ascending by time (stable, so equal-time order is
   /// insertion order). Idempotent.
   void sort_by_time();
@@ -128,18 +118,7 @@ class Dataset {
   /// Per-user median latency over this dataset (for quartile conditioning).
   std::unordered_map<std::uint64_t, double> per_user_median_latency() const;
 
-  /// Exact Voronoi selection weights over [begin_ms, end_ms), memoized on
-  /// the dataset: repeated analyses of the same window (bench loops, slice
-  /// re-reads) reuse the cached weights instead of recomputing them. The
-  /// span follows the column-span lifetime rules; add()/sort_by_time()
-  /// invalidate the cache. Thread-safe.
-  std::span<const double> voronoi_weights_cached(std::int64_t begin_ms, std::int64_t end_ms,
-                                                 std::size_t threads) const;
-
  private:
-  struct VoronoiCache;
-  void invalidate_cache() noexcept;
-
   std::vector<std::int64_t> time_ms_;
   std::vector<double> latency_ms_;
   std::vector<std::uint64_t> user_id_;
@@ -147,7 +126,6 @@ class Dataset {
   std::vector<UserClass> user_class_;
   std::vector<ActionStatus> status_;
   bool sorted_ = true;  // vacuously sorted when empty
-  mutable std::unique_ptr<VoronoiCache> voronoi_;
 };
 
 }  // namespace autosens::telemetry

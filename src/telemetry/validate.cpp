@@ -1,6 +1,5 @@
 #include "telemetry/validate.h"
 
-#include <cmath>
 #include <sstream>
 
 #include "obs/metrics.h"
@@ -84,32 +83,31 @@ ValidatedDataset validate(const Dataset& input, const ValidationOptions& options
   const auto statuses = input.statuses();
   std::vector<std::size_t> kept;
   kept.reserve(times.size());
+  auto& report = result.report;
   for (std::size_t i = 0; i < times.size(); ++i) {
-    if (times[i] < options.min_time_ms) {
-      ++result.report.dropped_bad_timestamp;
-      continue;
+    switch (drop_reason(times[i], latencies[i], statuses[i], options)) {
+      case DropReason::kKept:
+        kept.push_back(i);
+        break;
+      case DropReason::kBadTimestamp:
+        ++report.dropped_bad_timestamp;
+        break;
+      case DropReason::kOutOfWindow:
+        ++report.dropped_out_of_window;
+        break;
+      case DropReason::kNonfiniteLatency:
+        ++report.dropped_nonfinite_latency;
+        break;
+      case DropReason::kErrorStatus:
+        ++report.dropped_error_status;
+        break;
+      case DropReason::kNonpositiveLatency:
+        ++report.dropped_nonpositive_latency;
+        break;
+      case DropReason::kExcessiveLatency:
+        ++report.dropped_excessive_latency;
+        break;
     }
-    if (times[i] < options.window_begin_ms || times[i] >= options.window_end_ms) {
-      ++result.report.dropped_out_of_window;
-      continue;
-    }
-    if (!std::isfinite(latencies[i])) {
-      ++result.report.dropped_nonfinite_latency;
-      continue;
-    }
-    if (options.successful_only && statuses[i] == ActionStatus::kError) {
-      ++result.report.dropped_error_status;
-      continue;
-    }
-    if (latencies[i] <= options.min_latency_ms) {
-      ++result.report.dropped_nonpositive_latency;
-      continue;
-    }
-    if (latencies[i] > options.max_latency_ms) {
-      ++result.report.dropped_excessive_latency;
-      continue;
-    }
-    kept.push_back(i);
   }
   result.report.kept = kept.size();
   result.dataset = input.gather(kept);

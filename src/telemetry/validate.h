@@ -6,6 +6,7 @@
 // silently lossy measurement path shows up in any metrics snapshot.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -27,6 +28,34 @@ struct ValidationOptions {
   std::int64_t window_begin_ms = std::numeric_limits<std::int64_t>::min();
   std::int64_t window_end_ms = std::numeric_limits<std::int64_t>::max();
 };
+
+/// Why validate() drops a record, or kKept. The checks run in this order.
+enum class DropReason {
+  kKept,
+  kBadTimestamp,
+  kOutOfWindow,
+  kNonfiniteLatency,
+  kErrorStatus,
+  kNonpositiveLatency,
+  kExcessiveLatency,
+};
+
+/// The record-local keep rule of validate(): it reads only the record's own
+/// time, latency and status, so a stream can apply it one record at a time.
+inline DropReason drop_reason(std::int64_t time_ms, double latency_ms, ActionStatus status,
+                              const ValidationOptions& options = {}) noexcept {
+  if (time_ms < options.min_time_ms) return DropReason::kBadTimestamp;
+  if (time_ms < options.window_begin_ms || time_ms >= options.window_end_ms) {
+    return DropReason::kOutOfWindow;
+  }
+  if (!std::isfinite(latency_ms)) return DropReason::kNonfiniteLatency;
+  if (options.successful_only && status == ActionStatus::kError) {
+    return DropReason::kErrorStatus;
+  }
+  if (latency_ms <= options.min_latency_ms) return DropReason::kNonpositiveLatency;
+  if (latency_ms > options.max_latency_ms) return DropReason::kExcessiveLatency;
+  return DropReason::kKept;
+}
 
 /// Per-reason drop accounting.
 struct ValidationReport {

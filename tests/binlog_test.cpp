@@ -29,6 +29,13 @@ Dataset random_dataset(std::size_t n, std::uint64_t seed) {
   return d;
 }
 
+/// The rows of `d` as records: the input codec::encode_batch takes.
+std::vector<ActionRecord> rows_of(const Dataset& d) {
+  std::vector<ActionRecord> rows;
+  for (std::size_t i = 0; i < d.size(); ++i) rows.push_back(d[i]);
+  return rows;
+}
+
 TEST(CodecTest, VarintRoundtripSmallValues) {
   for (const std::uint64_t v : {0ull, 1ull, 127ull, 128ull, 300ull, 16'384ull}) {
     std::vector<std::uint8_t> buf;
@@ -117,7 +124,7 @@ TEST(CodecTest, Crc32LongBufferMatchesBytewise) {
 
 TEST(CodecTest, BatchRoundtrip) {
   const auto dataset = random_dataset(500, 1);
-  const auto payload = codec::encode_batch(dataset.records());
+  const auto payload = codec::encode_batch(rows_of(dataset));
   const auto decoded = codec::decode_batch(payload);
   ASSERT_EQ(decoded.size(), dataset.size());
   for (std::size_t i = 0; i < decoded.size(); ++i) {
@@ -128,7 +135,7 @@ TEST(CodecTest, BatchRoundtrip) {
 TEST(CodecTest, BatchPreservesSubCentLatencyResolution) {
   Dataset d;
   d.add({.time_ms = 1, .user_id = 1, .latency_ms = 123.45});
-  const auto decoded = codec::decode_batch(codec::encode_batch(d.records()));
+  const auto decoded = codec::decode_batch(codec::encode_batch(rows_of(d)));
   EXPECT_DOUBLE_EQ(decoded[0].latency_ms, 123.45);
 }
 
@@ -139,7 +146,7 @@ TEST(CodecTest, DecodeBatchIntoReusesScratchAcrossCalls) {
   std::vector<ActionRecord> scratch;
   for (const std::size_t n : {500u, 100u, 300u}) {
     const Dataset dataset = random_dataset(n, 7 + n);
-    const auto payload = codec::encode_batch(dataset.records());
+    const auto payload = codec::encode_batch(rows_of(dataset));
     codec::decode_batch_into(payload, scratch);
     const auto fresh = codec::decode_batch(payload);
     ASSERT_EQ(scratch.size(), n);
@@ -156,14 +163,14 @@ TEST(CodecTest, EmptyBatchRoundtrip) {
 
 TEST(CodecTest, DecodeRejectsTruncatedPayload) {
   const auto dataset = random_dataset(10, 2);
-  auto payload = codec::encode_batch(dataset.records());
+  auto payload = codec::encode_batch(rows_of(dataset));
   payload.resize(payload.size() / 2);
   EXPECT_THROW(codec::decode_batch(payload), std::runtime_error);
 }
 
 TEST(CodecTest, DecodeRejectsTrailingBytes) {
   const auto dataset = random_dataset(3, 3);
-  auto payload = codec::encode_batch(dataset.records());
+  auto payload = codec::encode_batch(rows_of(dataset));
   payload.push_back(0);
   EXPECT_THROW(codec::decode_batch(payload), std::runtime_error);
 }
@@ -171,7 +178,7 @@ TEST(CodecTest, DecodeRejectsTrailingBytes) {
 TEST(CodecTest, DecodeRejectsInvalidEnums) {
   Dataset d;
   d.add({.time_ms = 1, .user_id = 1, .latency_ms = 1.0});
-  auto payload = codec::encode_batch(d.records());
+  auto payload = codec::encode_batch(rows_of(d));
   payload[payload.size() - 3] = 99;  // action byte
   EXPECT_THROW(codec::decode_batch(payload), std::runtime_error);
 }

@@ -112,14 +112,14 @@ TEST(DatasetTest, ColumnsBundleMatchesAccessors) {
 TEST(DatasetTest, RecordsRoundTripsAllColumns) {
   Dataset d;
   d.add(make_record(7, 70.0, 42));
-  const auto records = d.records();
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].time_ms, 7);
-  EXPECT_EQ(records[0].user_id, 42u);
-  EXPECT_DOUBLE_EQ(records[0].latency_ms, 70.0);
-  EXPECT_EQ(records[0].action, ActionType::kSelectMail);
-  EXPECT_EQ(records[0].user_class, UserClass::kBusiness);
-  EXPECT_EQ(records[0].status, ActionStatus::kSuccess);
+  ASSERT_EQ(d.size(), 1u);
+  const ActionRecord record = d[0];
+  EXPECT_EQ(record.time_ms, 7);
+  EXPECT_EQ(record.user_id, 42u);
+  EXPECT_DOUBLE_EQ(record.latency_ms, 70.0);
+  EXPECT_EQ(record.action, ActionType::kSelectMail);
+  EXPECT_EQ(record.user_class, UserClass::kBusiness);
+  EXPECT_EQ(record.status, ActionStatus::kSuccess);
 }
 
 TEST(DatasetTest, GatherCopiesWholeRows) {

@@ -39,7 +39,8 @@ std::vector<double> curve_probes(const PreferenceResult& r) {
 TEST(EstimatorInvarianceTest, WholeDayTranslation) {
   const auto slice = base_slice(101);
   telemetry::Dataset shifted;
-  for (auto record : slice.records()) {
+  for (std::size_t i = 0; i < slice.size(); ++i) {
+    auto record = slice[i];
     record.time_ms += 7 * telemetry::kMillisPerDay;
     shifted.add(record);
   }
@@ -52,7 +53,8 @@ TEST(EstimatorInvarianceTest, WholeDayTranslation) {
 TEST(EstimatorInvarianceTest, UserRelabeling) {
   const auto slice = base_slice(102);
   telemetry::Dataset relabeled;
-  for (auto record : slice.records()) {
+  for (std::size_t i = 0; i < slice.size(); ++i) {
+    auto record = slice[i];
     record.user_id = record.user_id * 7919 + 13;
     relabeled.add(record);
   }
@@ -68,7 +70,8 @@ TEST(EstimatorInvarianceTest, RecordDuplication) {
   // hence the normalized curve, must be essentially unchanged.
   const auto slice = base_slice(103);
   telemetry::Dataset doubled;
-  for (const auto& record : slice.records()) {
+  for (std::size_t i = 0; i < slice.size(); ++i) {
+    const auto record = slice[i];
     doubled.add(record);
     doubled.add(record);
   }

@@ -48,7 +48,8 @@ TEST(GeneratorTest, RecordsAreSortedAndInRange) {
   const auto result = WorkloadGenerator(config).generate();
   EXPECT_TRUE(result.dataset.is_sorted());
   EXPECT_GT(result.dataset.size(), 0u);
-  for (const auto& r : result.dataset.records()) {
+  for (std::size_t i = 0; i < result.dataset.size(); ++i) {
+    const auto r = result.dataset[i];
     EXPECT_GE(r.time_ms, config.begin_ms);
     EXPECT_LT(r.time_ms, config.end_ms);
     EXPECT_GT(r.latency_ms, 0.0);
@@ -64,7 +65,8 @@ TEST(GeneratorTest, AcceptedNeverExceedsCandidates) {
 TEST(GeneratorTest, AllConfiguredActionTypesAppear) {
   const auto result = WorkloadGenerator(tiny_config()).generate();
   std::array<std::size_t, telemetry::kActionTypeCount> counts{};
-  for (const auto& r : result.dataset.records()) {
+  for (std::size_t i = 0; i < result.dataset.size(); ++i) {
+    const auto r = result.dataset[i];
     ++counts[static_cast<std::size_t>(r.action)];
   }
   for (const auto c : counts) EXPECT_GT(c, 0u);
@@ -76,7 +78,8 @@ TEST(GeneratorTest, DisabledActionTypeProducesNothing) {
   auto config = tiny_config();
   config.actions_per_user_day = {10.0, 0.0, 0.0, 0.0, 0.0};
   const auto result = WorkloadGenerator(config).generate();
-  for (const auto& r : result.dataset.records()) {
+  for (std::size_t i = 0; i < result.dataset.size(); ++i) {
+    const auto r = result.dataset[i];
     EXPECT_EQ(r.action, telemetry::ActionType::kSelectMail);
   }
 }
@@ -86,7 +89,8 @@ TEST(GeneratorTest, ErrorRateApproximatelyHonored) {
   config.error_rate = 0.10;
   const auto result = WorkloadGenerator(config).generate();
   std::size_t errors = 0;
-  for (const auto& r : result.dataset.records()) {
+  for (std::size_t i = 0; i < result.dataset.size(); ++i) {
+    const auto r = result.dataset[i];
     if (r.status == telemetry::ActionStatus::kError) ++errors;
   }
   EXPECT_NEAR(static_cast<double>(errors) / static_cast<double>(result.dataset.size()), 0.10,
@@ -97,7 +101,8 @@ TEST(GeneratorTest, ZeroErrorRateProducesNoErrors) {
   auto config = tiny_config();
   config.error_rate = 0.0;
   const auto result = WorkloadGenerator(config).generate();
-  for (const auto& r : result.dataset.records()) {
+  for (std::size_t i = 0; i < result.dataset.size(); ++i) {
+    const auto r = result.dataset[i];
     EXPECT_EQ(r.status, telemetry::ActionStatus::kSuccess);
   }
 }
@@ -107,7 +112,8 @@ TEST(GeneratorTest, DaytimeIsBusierThanNight) {
   const auto result = WorkloadGenerator(tiny_config()).generate();
   std::size_t day = 0;
   std::size_t night = 0;
-  for (const auto& r : result.dataset.records()) {
+  for (std::size_t i = 0; i < result.dataset.size(); ++i) {
+    const auto r = result.dataset[i];
     const int hour = telemetry::hour_of_day(r.time_ms);
     if (hour >= 9 && hour < 15) ++day;
     if (hour >= 1 && hour < 7) ++night;
@@ -122,7 +128,8 @@ TEST(GeneratorTest, DaytimeLatencyIsHigherOnAverage) {
   const auto result = WorkloadGenerator(config).generate();
   stats::RunningStats day;
   stats::RunningStats night;
-  for (const auto& r : result.dataset.records()) {
+  for (std::size_t i = 0; i < result.dataset.size(); ++i) {
+    const auto r = result.dataset[i];
     const int hour = telemetry::hour_of_day(r.time_ms);
     if (r.action != telemetry::ActionType::kSelectMail) continue;
     if (hour >= 9 && hour < 15) day.add(r.latency_ms);
@@ -156,7 +163,8 @@ TEST(GeneratorTest, WeekendDampsActivity) {
   const auto result = WorkloadGenerator(config).generate();
   std::size_t weekend = 0;
   std::size_t weekday = 0;
-  for (const auto& r : result.dataset.records()) {
+  for (std::size_t i = 0; i < result.dataset.size(); ++i) {
+    const auto r = result.dataset[i];
     const int dow = telemetry::day_of_week(r.time_ms);
     if (dow == 2 || dow == 3) {
       ++weekend;

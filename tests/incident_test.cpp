@@ -75,7 +75,8 @@ TEST(IncidentTest, UsersActLessDuringIncidents) {
   const auto count_in = [](const telemetry::Dataset& d, std::int64_t begin,
                            std::int64_t end) {
     std::size_t n = 0;
-    for (const auto& r : d.records()) {
+    for (std::size_t i = 0; i < d.size(); ++i) {
+      const auto r = d[i];
       if (r.time_ms >= begin && r.time_ms < end) ++n;
     }
     return n;

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "net/collector.h"
+#include "net/collector_poll.h"
 #include "net/emitter.h"
 #include "net/fault.h"
 #include "net/wire.h"
@@ -227,6 +228,41 @@ TEST(NetPipelineTest, DisconnectMidFrameIsRetriedToExactDelivery) {
   // Every reconnect is the sequel of a connection that ended mid-stream.
   EXPECT_EQ(collector.stats().interrupted_connections,
             collector.stats().session_reconnects);
+}
+
+/// The first data frame is torn, then the reconnect's hello is torn too,
+/// against collector type `C`. The torn hello's connection never names its
+/// session, so it is neither a reconnect nor an interruption (it counts as
+/// a dropped connection), and the two counts still pair up.
+template <typename C>
+void expect_torn_hello_keeps_counts_paired() {
+  C collector(/*expected_goodbyes=*/1);
+  const auto records = make_records(64, 24);
+  FaultySocketOps faulty(
+      FaultPlan(0x7e11, {{.fault = FaultClass::kDisconnect,
+                          .probability = 1.0,
+                          .skip_ops = 1,  // let the first hello through
+                          .max_injections = 2}}),
+      real_socket_ops(), /*sleep_scale=*/0.0);
+  {
+    Emitter emitter(collector.port(), faulty_options(faulty));
+    for (const auto& r : records) emitter.record(r);
+    emitter.close();
+    EXPECT_EQ(faulty.plan().injected(FaultClass::kDisconnect), 2u);
+    EXPECT_EQ(emitter.stats().reconnects, 1u);  // the torn hello never connected
+  }
+  const auto dataset = collector.join();
+  EXPECT_TRUE(collector.complete());
+  ASSERT_EQ(dataset.size(), records.size());
+  const auto stats = collector.stats();
+  EXPECT_EQ(stats.session_reconnects, 1u);
+  EXPECT_EQ(stats.interrupted_connections, 1u);
+  EXPECT_EQ(stats.dropped_connections, 1u);
+}
+
+TEST(NetPipelineTest, TornReconnectHelloKeepsCountsPaired) {
+  expect_torn_hello_keeps_counts_paired<CollectorThread>();
+  expect_torn_hello_keeps_counts_paired<PollCollectorThread>();
 }
 
 TEST(NetPipelineTest, ConnectRefusedIsRetried) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "core/pipeline.h"
 #include "simulate/generator.h"
 #include "simulate/presets.h"
@@ -18,6 +22,31 @@ telemetry::Dataset small_slice(std::uint64_t seed) {
           .generate();
   return telemetry::validate(generated.dataset)
       .dataset.filtered(telemetry::by_action(telemetry::ActionType::kSelectMail));
+}
+
+/// Every byte of a curve, for byte-identity checks.
+std::string bytes_of(const PreferenceResult& p) {
+  std::string out;
+  const auto put = [&out](const auto& values) {
+    out.append(reinterpret_cast<const char*>(values.data()),
+               values.size() * sizeof(values[0]));
+    out += '|';
+  };
+  put(p.latency_ms);
+  put(p.raw_ratio);
+  put(p.smoothed);
+  put(p.normalized);
+  put(p.valid);
+  put(std::vector<double>{p.reference_latency_ms});
+  put(std::vector<std::size_t>{p.biased_samples, p.support_begin, p.support_end});
+  return out;
+}
+
+/// The first `n` rows of `d`.
+telemetry::Dataset head(const telemetry::Dataset& d, std::size_t n) {
+  std::vector<std::size_t> rows(n);
+  for (std::size_t i = 0; i < n; ++i) rows[i] = i;
+  return d.gather(rows);
 }
 
 TEST(StreamingAutoSensTest, ValidatesOptionsEagerly) {
@@ -54,25 +83,52 @@ TEST(StreamingAutoSensTest, ScrubsErrorsAndBadLatencies) {
 }
 
 TEST(StreamingAutoSensTest, SnapshotMatchesBatchAnalysis) {
-  // The headline property: streaming over a sorted log converges to the
-  // batch estimate (hold-last vs Voronoi weighting differ only by half-gap
-  // boundary effects).
+  // The headline property: streaming over a sorted log reduces the same
+  // statistics as the batch pipeline, so the curves are byte-identical.
   const auto slice = small_slice(121);
   StreamingAutoSens stream{AutoSensOptions{}};
-  for (const auto& record : slice.records()) stream.feed(record);
-  const auto streaming = stream.snapshot();
-  const auto batch = analyze(slice, AutoSensOptions{});
-  for (const double latency : {400.0, 600.0, 800.0, 1000.0, 1200.0}) {
-    if (!batch.covers(latency) || !streaming.covers(latency)) continue;
-    EXPECT_NEAR(streaming.at(latency), batch.at(latency), 0.03) << latency;
-  }
+  for (std::size_t i = 0; i < slice.size(); ++i) stream.feed(slice[i]);
+  EXPECT_EQ(bytes_of(stream.snapshot()), bytes_of(analyze(slice, AutoSensOptions{})));
   EXPECT_EQ(stream.records_used(), slice.size());
+}
+
+TEST(StreamingAutoSensTest, ScrubbedRowsGetNoTime) {
+  // Rows telemetry::validate drops (error status, latency <= 0, non-finite
+  // or above 60 s) interleaved into a stream leave the snapshot unchanged:
+  // they add no count and no Voronoi time, not even after a slow sample.
+  const auto slice = small_slice(125);
+  std::vector<telemetry::ActionRecord> raw;
+  for (std::size_t i = 0; i < slice.size(); ++i) {
+    const auto record = slice[i];
+    raw.push_back(record);
+    if (i % 7 == 3) {
+      auto junk = record;
+      switch (i % 4) {
+        case 0: junk.status = telemetry::ActionStatus::kError; break;
+        case 1: junk.latency_ms = (i / 4) % 2 == 0 ? 0.0 : -5.0; break;
+        case 2: junk.latency_ms = std::numeric_limits<double>::quiet_NaN(); break;
+        default: junk.latency_ms = 90'000.0; break;
+      }
+      junk.time_ms += (slice.size() > i + 1 ? slice[i + 1].time_ms - record.time_ms : 1) / 2;
+      raw.push_back(junk);
+    }
+  }
+  StreamingAutoSens clean{AutoSensOptions{}};
+  clean.feed_all(slice);
+  StreamingAutoSens dirty{AutoSensOptions{}};
+  for (const auto& record : raw) dirty.feed(record);
+  EXPECT_EQ(dirty.records_seen(), raw.size());
+  EXPECT_EQ(dirty.records_used(), slice.size());
+  const auto batch = analyze_detailed(
+      telemetry::validate(telemetry::Dataset(raw)).dataset, AutoSensOptions{});
+  EXPECT_EQ(bytes_of(dirty.snapshot()), bytes_of(clean.snapshot()));
+  EXPECT_EQ(bytes_of(dirty.snapshot()), bytes_of(batch.preference));
 }
 
 TEST(StreamingAutoSensTest, AlphaMatchesDiurnalPattern) {
   const auto slice = small_slice(122);
   StreamingAutoSens stream{AutoSensOptions{}};
-  for (const auto& record : slice.records()) stream.feed(record);
+  stream.feed_all(slice);
   const auto alpha = stream.alpha_by_class();
   ASSERT_EQ(alpha.size(), 24u);
   // Deep night classes are far quieter than late-morning ones.
@@ -82,23 +138,16 @@ TEST(StreamingAutoSensTest, AlphaMatchesDiurnalPattern) {
 TEST(StreamingAutoSensTest, SnapshotsAreRepeatableAndResumable) {
   const auto slice = small_slice(123);
   StreamingAutoSens stream{AutoSensOptions{}};
-  const auto records = slice.records();
-  const std::size_t half = records.size() / 2;
-  for (std::size_t i = 0; i < half; ++i) stream.feed(records[i]);
+  const std::size_t half = slice.size() / 2;
+  for (std::size_t i = 0; i < half; ++i) stream.feed(slice[i]);
   const auto mid1 = stream.snapshot();
   const auto mid2 = stream.snapshot();  // snapshot is const: identical
-  ASSERT_EQ(mid1.normalized.size(), mid2.normalized.size());
-  for (std::size_t i = 0; i < mid1.normalized.size(); ++i) {
-    EXPECT_DOUBLE_EQ(mid1.normalized[i], mid2.normalized[i]);
-  }
-  // Continue feeding after the snapshot; the estimate keeps refining.
-  for (std::size_t i = half; i < records.size(); ++i) stream.feed(records[i]);
-  const auto full = stream.snapshot();
-  EXPECT_EQ(stream.records_used(), records.size());
-  const auto batch = analyze(slice, AutoSensOptions{});
-  if (full.covers(800.0) && batch.covers(800.0)) {
-    EXPECT_NEAR(full.at(800.0), batch.at(800.0), 0.03);
-  }
+  EXPECT_EQ(bytes_of(mid1), bytes_of(mid2));
+  EXPECT_EQ(bytes_of(mid1), bytes_of(analyze(head(slice, half), AutoSensOptions{})));
+  // Continue feeding after the snapshot; the estimate is the full batch one.
+  for (std::size_t i = half; i < slice.size(); ++i) stream.feed(slice[i]);
+  EXPECT_EQ(stream.records_used(), slice.size());
+  EXPECT_EQ(bytes_of(stream.snapshot()), bytes_of(analyze(slice, AutoSensOptions{})));
 }
 
 TEST(StreamingAutoSensTest, NormalizationToggleHonored) {
@@ -107,10 +156,8 @@ TEST(StreamingAutoSensTest, NormalizationToggleHonored) {
   naive_options.normalize_time_confounder = false;
   StreamingAutoSens normalized{AutoSensOptions{}};
   StreamingAutoSens naive{naive_options};
-  for (const auto& record : slice.records()) {
-    normalized.feed(record);
-    naive.feed(record);
-  }
+  normalized.feed_all(slice);
+  naive.feed_all(slice);
   const auto n = normalized.snapshot();
   const auto u = naive.snapshot();
   // With the confounder uncorrected the measured drop shrinks (cf. the

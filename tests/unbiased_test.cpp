@@ -72,46 +72,61 @@ TEST(UnbiasedTest, SizeMismatchThrows) {
                std::invalid_argument);
 }
 
+/// U over a window list from the estimator core (10 ms bins up to 1 s).
+stats::Histogram windowed_u(const std::vector<std::int64_t>& times,
+                            const std::vector<double>& latencies,
+                            const std::vector<TimeWindow>& windows) {
+  AutoSensOptions options;
+  options.bin_width_ms = 10.0;
+  options.max_latency_ms = 1000.0;
+  return Accumulator::fill({times, latencies}, ClassGrid::kSlot, options, windows).unbiased();
+}
+
 TEST(UnbiasedTest, OverWindowsWeightsByDuration) {
   // Window A (length 100) has latency 10; window B (length 300) latency 20.
   const std::vector<std::int64_t> times = {50, 450};
   const std::vector<double> latencies = {10.0, 20.0};
   const std::vector<TimeWindow> windows = {{.begin_ms = 0, .end_ms = 100},
                                            {.begin_ms = 300, .end_ms = 600}};
-  const auto h = unbiased_histogram_over_windows(times, latencies, windows, 10.0, 1000.0);
-  EXPECT_NEAR(h.count(h.bin_index(10.0)), 100.0, 1e-9);
-  EXPECT_NEAR(h.count(h.bin_index(20.0)), 300.0, 1e-9);
+  const auto h = windowed_u(times, latencies, windows);
+  EXPECT_DOUBLE_EQ(h.count(h.bin_index(10.0)), 0.25);
+  EXPECT_DOUBLE_EQ(h.count(h.bin_index(20.0)), 0.75);
 }
 
 TEST(UnbiasedTest, OverWindowsSkipsEmptyWindows) {
-  const std::vector<std::int64_t> times = {50};
-  const std::vector<double> latencies = {10.0};
+  // The empty middle window adds no time: the populated ones split U.
+  const std::vector<std::int64_t> times = {50, 500};
+  const std::vector<double> latencies = {10.0, 20.0};
   const std::vector<TimeWindow> windows = {{.begin_ms = 0, .end_ms = 100},
-                                           {.begin_ms = 200, .end_ms = 300}};
-  const auto h = unbiased_histogram_over_windows(times, latencies, windows, 10.0, 1000.0);
-  EXPECT_NEAR(h.total_weight(), 100.0, 1e-9);  // only the populated window
+                                           {.begin_ms = 200, .end_ms = 300},
+                                           {.begin_ms = 400, .end_ms = 700}};
+  const auto h = windowed_u(times, latencies, windows);
+  EXPECT_DOUBLE_EQ(h.total_weight(), 1.0);
+  EXPECT_DOUBLE_EQ(h.count(h.bin_index(10.0)), 0.25);
+  EXPECT_DOUBLE_EQ(h.count(h.bin_index(20.0)), 0.75);
 }
 
 TEST(UnbiasedTest, OverWindowsValidatesWindows) {
   const std::vector<std::int64_t> times = {50};
   const std::vector<double> latencies = {10.0};
-  const std::vector<TimeWindow> bad = {{.begin_ms = 100, .end_ms = 100}};
-  EXPECT_THROW(unbiased_histogram_over_windows(times, latencies, bad, 10.0, 1000.0),
+  EXPECT_THROW(windowed_u(times, latencies, {{.begin_ms = 100, .end_ms = 100}}),
+               std::invalid_argument);
+  // Overlapping or out-of-order windows are rejected too.
+  EXPECT_THROW(windowed_u(times, latencies, {{.begin_ms = 0, .end_ms = 100},
+                                             {.begin_ms = 50, .end_ms = 150}}),
                std::invalid_argument);
 }
 
 TEST(UnbiasedTest, OverWindowsRejectsUnsortedTimes) {
-  // The duration weights come from lower_bound scans over `times`; unsorted
-  // input would silently misattribute mass, so the public entry point
-  // validates sortedness up front.
+  // Voronoi cells come from each sample's neighbours in `times`; unsorted
+  // input would silently misattribute mass, so the fill rejects it.
   const std::vector<std::int64_t> times = {500, 100};
   const std::vector<double> latencies = {100.0, 200.0};
   const std::vector<TimeWindow> windows = {{0, 1000}};
-  EXPECT_THROW(unbiased_histogram_over_windows(times, latencies, windows, 10.0, 1000.0),
-               std::invalid_argument);
+  EXPECT_THROW(windowed_u(times, latencies, windows), std::invalid_argument);
   // Sorted input with identical content is accepted.
   const std::vector<std::int64_t> ok = {100, 500};
-  EXPECT_NO_THROW(unbiased_histogram_over_windows(ok, latencies, windows, 10.0, 1000.0));
+  EXPECT_NO_THROW(windowed_u(ok, latencies, windows));
 }
 
 TEST(UnbiasedTest, SampleOnlyAffectsItsOwnWindow) {
@@ -120,9 +135,9 @@ TEST(UnbiasedTest, SampleOnlyAffectsItsOwnWindow) {
   const std::vector<double> latencies = {10.0, 20.0};
   const std::vector<TimeWindow> windows = {{.begin_ms = 0, .end_ms = 100},
                                            {.begin_ms = 250, .end_ms = 350}};
-  const auto h = unbiased_histogram_over_windows(times, latencies, windows, 10.0, 1000.0);
-  EXPECT_NEAR(h.count(h.bin_index(10.0)), 100.0, 1e-9);
-  EXPECT_NEAR(h.count(h.bin_index(20.0)), 100.0, 1e-9);
+  const auto h = windowed_u(times, latencies, windows);
+  EXPECT_DOUBLE_EQ(h.count(h.bin_index(10.0)), 0.5);
+  EXPECT_DOUBLE_EQ(h.count(h.bin_index(20.0)), 0.5);
 }
 
 TEST(UnbiasedTest, DatasetConvenienceHonorsMethod) {

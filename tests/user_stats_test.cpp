@@ -54,7 +54,7 @@ TEST(UserAccumulatorTest, StreamingMedianTracksExactMedianOnWorkload) {
       simulate::WorkloadGenerator(simulate::paper_config(simulate::Scale::kTiny, 31))
           .generate();
   UserAccumulator acc;
-  for (const auto& r : generated.dataset.records()) acc.add(r);
+  for (std::size_t i = 0; i < generated.dataset.size(); ++i) acc.add(generated.dataset[i]);
   const auto exact = generated.dataset.per_user_median_latency();
   const auto streaming = acc.median_latency();
   ASSERT_EQ(streaming.size(), exact.size());
@@ -74,7 +74,7 @@ TEST(UserAccumulatorTest, StreamingQuartilesMatchExactQuartilesMostly) {
       simulate::WorkloadGenerator(simulate::paper_config(simulate::Scale::kTiny, 32))
           .generate();
   UserAccumulator acc;
-  for (const auto& r : generated.dataset.records()) acc.add(r);
+  for (std::size_t i = 0; i < generated.dataset.size(); ++i) acc.add(generated.dataset[i]);
   const UserQuartiles exact(generated.dataset);
   const UserQuartiles streaming(acc.median_latency());
   std::size_t agree = 0;

@@ -4,13 +4,14 @@
 #   <repo>/build-asan — AUTOSENS_SANITIZE=address + AUTOSENS_UBSAN=ON
 #   <repo>/build-tsan — AUTOSENS_SANITIZE=thread
 #
-# Each tree runs the net, parallel, obs, simd, store and telemetry ctest
+# Each tree runs the net, parallel, obs, simd, store, telemetry and core ctest
 # labels: the fault-injection matrix, the wire fuzz corpus, the
 # emitter/collector pipeline, the parallel execution layer, the metrics
 # registry, the live-scraped introspection server, wire trace propagation,
 # the dispatched SIMD kernels, the out-of-core store's mmap/varint decoders,
-# and the Dataset row gather behind validation and slicing — the code where
-# memory-safety and data-race bugs would actually live. Pass
+# the Dataset row gather behind validation and slicing, and the estimator
+# core, whose accumulator merges per-chunk partials filled on pool threads —
+# the code where memory-safety and data-race bugs would actually live. Pass
 # --soak to also run the slow-labelled soak tests (ctest -C soak -L slow) in
 # each tree.
 #
@@ -41,7 +42,10 @@ targets=(wire_test net_pipeline_test fault_test wire_fuzz_test
          parallel_determinism_test obs_metrics_test obs_trace_test
          obs_log_test obs_server_test simd_kernels_test simd_dispatch_test
          store_test store_prune_test store_soak_test
-         dataset_test filter_test validate_test)
+         dataset_test filter_test validate_test
+         pipeline_test streaming_test confounder_time_test confounder_dow_test
+         unbiased_test slices_test confidence_test estimator_core_test
+         estimator_fixture_test)
 
 jobs="$(nproc 2>/dev/null || echo 2)"
 
@@ -52,8 +56,8 @@ run_tree() {
   cmake -B "$dir" -S "$repo_root" "$@" > /dev/null
   echo "=== [$label] build: ${targets[*]} ==="
   cmake --build "$dir" -j "$jobs" --target "${targets[@]}"
-  echo "=== [$label] ctest -L 'net|parallel|obs|simd|store|telemetry' ==="
-  ctest --test-dir "$dir" -L 'net|parallel|obs|simd|store|telemetry' -LE slow --output-on-failure -j "$jobs"
+  echo "=== [$label] ctest -L 'net|parallel|obs|simd|store|telemetry|core' ==="
+  ctest --test-dir "$dir" -L 'net|parallel|obs|simd|store|telemetry|core' -LE slow --output-on-failure -j "$jobs"
   if [[ "$soak" -eq 1 ]]; then
     echo "=== [$label] soak: ctest -C soak -L slow ==="
     ctest --test-dir "$dir" -C soak -L slow --output-on-failure
