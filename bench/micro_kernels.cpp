@@ -6,17 +6,12 @@
 
 #include <algorithm>
 #include <array>
-#include <cctype>
-#include <charconv>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <filesystem>
 #include <optional>
 #include <span>
 #include <sstream>
-#include <stdexcept>
-#include <string_view>
 #include <vector>
 
 #include <atomic>
@@ -28,7 +23,6 @@
 #include "core/slices.h"
 #include "core/store_analyze.h"
 #include "net/collector.h"
-#include "net/collector_poll.h"
 #include "net/emitter.h"
 #include "net/udp.h"
 #include "obs/metrics.h"
@@ -375,345 +369,43 @@ void BM_DatasetColumns(benchmark::State& state) {
 }
 BENCHMARK(BM_DatasetColumns)->Arg(0)->Arg(1)->UseRealTime();
 
-/// One bootstrap resample: the materializing legacy path (copy every record,
-/// re-sort) vs the index view (O(days) block table).
+/// One bootstrap resample through the index view (O(days) block table).
+/// The lone Arg(1) keeps the row name that BENCH_columnar.json gates.
 void BM_DayBlockResample(benchmark::State& state) {
   const auto& dataset = million_record_dataset();
-  const bool by_view = state.range(0) != 0;
   stats::Random random(13);
   for (auto _ : state) {
-    if (by_view) {
-      auto view = core::day_block_resample(dataset, random);
-      benchmark::DoNotOptimize(view.size());
-    } else {
-      auto copy = core::day_block_resample_copy(dataset, random);
-      benchmark::DoNotOptimize(copy.size());
-    }
+    auto view = core::day_block_resample(dataset, random);
+    benchmark::DoNotOptimize(view.size());
   }
-  state.SetLabel(by_view ? "view" : "copy");
+  state.SetLabel("view");
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(dataset.size()));
 }
-BENCHMARK(BM_DayBlockResample)->Arg(0)->Arg(1)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK(BM_DayBlockResample)->Arg(1)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 /// The confidence-interval replicate loop end to end: resample + analyze,
-/// 8 replicates per iteration, view vs copy resampling (byte-identical
-/// intervals, very different allocation profiles).
+/// 8 replicates per iteration. Arg(1) as above.
 void BM_ConfidenceReplicates(benchmark::State& state) {
   const auto& dataset = million_record_dataset();
   core::AutoSensOptions options;
   core::ConfidenceOptions confidence;
   confidence.replicates = 8;
-  confidence.resample_by_view = state.range(0) != 0;
   for (auto _ : state) {
     stats::Random random(17);
     auto result = core::analyze_with_confidence(dataset, options, {300.0, 500.0, 1000.0},
                                                 confidence, random);
     benchmark::DoNotOptimize(result.intervals.data());
   }
-  state.SetLabel(confidence.resample_by_view ? "view" : "copy");
+  state.SetLabel("view");
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(confidence.replicates));
 }
-BENCHMARK(BM_ConfidenceReplicates)->Arg(0)->Arg(1)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK(BM_ConfidenceReplicates)->Arg(1)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // ---------------------------------------------------------------------------
-// Ingest engine (BENCH_ingest.json), fig3-scale (1M records). Arg(0) is the
-// seed path — getline row-by-row for the text formats, serial ASL1 varint
-// decode for binlog; Arg(N) is the chunked mmap-style path with N parse
-// threads (the input is in memory either way, so the comparison isolates
+// Ingest engine (BENCH_ingest.json), fig3-scale (1M records): the chunked
+// parse path with N threads (the input is in memory, so the rows isolate
 // parse cost from disk).
-//
-// The `seed` namespace below is a frozen reconstruction of the pre-ingest-
-// engine readers (commit e537279), kept verbatim so the before/after ratio
-// in BENCH_ingest.json stays measurable after the originals were replaced:
-// per-line std::vector<std::string_view> field splits for CSV, the callback
-// ObjectParser with std::string error returns for JSONL, and the istream
-// frame walk with payload copies, byte-at-a-time CRC, and per-record add()
-// for ASL1 binlog.
-
-namespace seed {
-
-std::vector<std::string_view> split_fields(std::string_view line) {
-  std::vector<std::string_view> fields;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t comma = line.find(',', start);
-    if (comma == std::string_view::npos) {
-      fields.push_back(line.substr(start));
-      break;
-    }
-    fields.push_back(line.substr(start, comma - start));
-    start = comma + 1;
-  }
-  return fields;
-}
-
-template <typename T>
-bool parse_number(std::string_view text, T& out) {
-  const auto* begin = text.data();
-  const auto* end = text.data() + text.size();
-  const auto result = std::from_chars(begin, end, out);
-  return result.ec == std::errc{} && result.ptr == end;
-}
-
-std::string_view trim(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) s.remove_prefix(1);
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t' || s.back() == '\r')) {
-    s.remove_suffix(1);
-  }
-  return s;
-}
-
-telemetry::CsvReadResult read_csv(std::istream& in) {
-  telemetry::CsvReadResult result;
-  std::string line;
-  std::size_t line_number = 0;
-  if (!std::getline(in, line)) {
-    throw std::runtime_error("read_csv: empty input (missing header)");
-  }
-  ++line_number;
-  if (trim(line) != telemetry::kCsvHeader) {
-    throw std::runtime_error("read_csv: unexpected header: " + line);
-  }
-  while (std::getline(in, line)) {
-    ++line_number;
-    const std::string_view trimmed = trim(line);
-    if (trimmed.empty()) continue;
-    const auto fields = split_fields(trimmed);
-    if (fields.size() != 6) {
-      result.errors.push_back(
-          {line_number, "expected 6 fields, got " + std::to_string(fields.size())});
-      continue;
-    }
-    telemetry::ActionRecord record;
-    if (!parse_number(trim(fields[0]), record.time_ms)) {
-      result.errors.push_back({line_number, "bad time_ms"});
-      continue;
-    }
-    if (!parse_number(trim(fields[1]), record.user_id)) {
-      result.errors.push_back({line_number, "bad user_id"});
-      continue;
-    }
-    const auto action = telemetry::parse_action_type(trim(fields[2]));
-    if (!action) {
-      result.errors.push_back({line_number, "unknown action type"});
-      continue;
-    }
-    record.action = *action;
-    if (!parse_number(trim(fields[3]), record.latency_ms)) {
-      result.errors.push_back({line_number, "bad latency_ms"});
-      continue;
-    }
-    const auto user_class = telemetry::parse_user_class(trim(fields[4]));
-    if (!user_class) {
-      result.errors.push_back({line_number, "unknown user class"});
-      continue;
-    }
-    record.user_class = *user_class;
-    const auto status = telemetry::parse_action_status(trim(fields[5]));
-    if (!status) {
-      result.errors.push_back({line_number, "unknown status"});
-      continue;
-    }
-    record.status = *status;
-    result.dataset.add(record);
-  }
-  result.dataset.sort_by_time();
-  return result;
-}
-
-class ObjectParser {
- public:
-  explicit ObjectParser(std::string_view text) : text_(text) {}
-
-  template <typename Callback>
-  std::string parse(Callback&& on_field) {
-    skip_space();
-    if (!consume('{')) return "expected '{'";
-    skip_space();
-    if (consume('}')) return finish();
-    for (;;) {
-      std::string_view key;
-      if (!parse_string(key)) return "expected string key";
-      skip_space();
-      if (!consume(':')) return "expected ':'";
-      skip_space();
-      std::string_view value;
-      bool is_string = false;
-      if (peek() == '"') {
-        if (!parse_string(value)) return "bad string value";
-        is_string = true;
-      } else {
-        const std::size_t start = pos_;
-        while (pos_ < text_.size() && text_[pos_] != ',' && text_[pos_] != '}' &&
-               !std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-          ++pos_;
-        }
-        value = text_.substr(start, pos_ - start);
-        if (value.empty()) return "expected value";
-      }
-      const std::string error = on_field(key, value, is_string);
-      if (!error.empty()) return error;
-      skip_space();
-      if (consume(',')) {
-        skip_space();
-        continue;
-      }
-      if (consume('}')) return finish();
-      return "expected ',' or '}'";
-    }
-  }
-
- private:
-  std::string finish() {
-    skip_space();
-    return pos_ == text_.size() ? "" : "trailing characters after object";
-  }
-  char peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
-  bool consume(char c) {
-    if (peek() != c) return false;
-    ++pos_;
-    return true;
-  }
-  void skip_space() {
-    while (pos_ < text_.size() && std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-  bool parse_string(std::string_view& out) {
-    if (!consume('"')) return false;
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      if (text_[pos_] == '\\') return false;
-      ++pos_;
-    }
-    if (pos_ >= text_.size()) return false;
-    out = text_.substr(start, pos_ - start);
-    ++pos_;
-    return true;
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
-telemetry::JsonlReadResult read_jsonl(std::istream& in) {
-  telemetry::JsonlReadResult result;
-  std::string line;
-  std::size_t line_number = 0;
-  while (std::getline(in, line)) {
-    ++line_number;
-    std::string_view trimmed = line;
-    while (!trimmed.empty() && std::isspace(static_cast<unsigned char>(trimmed.back()))) {
-      trimmed.remove_suffix(1);
-    }
-    if (trimmed.empty()) continue;
-    telemetry::ActionRecord record;
-    bool saw_time = false;
-    bool saw_user = false;
-    bool saw_action = false;
-    bool saw_latency = false;
-    bool saw_class = false;
-    bool saw_status = false;
-    ObjectParser parser(trimmed);
-    const std::string error = parser.parse(
-        [&](std::string_view key, std::string_view value, bool is_string) -> std::string {
-          if (key == "time_ms" && !is_string) {
-            if (!parse_number(value, record.time_ms)) return "bad time_ms";
-            saw_time = true;
-          } else if (key == "user_id" && !is_string) {
-            if (!parse_number(value, record.user_id)) return "bad user_id";
-            saw_user = true;
-          } else if (key == "latency_ms" && !is_string) {
-            if (!parse_number(value, record.latency_ms)) return "bad latency_ms";
-            saw_latency = true;
-          } else if (key == "action" && is_string) {
-            const auto parsed = telemetry::parse_action_type(value);
-            if (!parsed) return "unknown action type";
-            record.action = *parsed;
-            saw_action = true;
-          } else if (key == "user_class" && is_string) {
-            const auto parsed = telemetry::parse_user_class(value);
-            if (!parsed) return "unknown user class";
-            record.user_class = *parsed;
-            saw_class = true;
-          } else if (key == "status" && is_string) {
-            const auto parsed = telemetry::parse_action_status(value);
-            if (!parsed) return "unknown status";
-            record.status = *parsed;
-            saw_status = true;
-          } else {
-            return "unknown key: " + std::string(key);
-          }
-          return "";
-        });
-    if (!error.empty()) {
-      result.errors.push_back({line_number, error});
-      continue;
-    }
-    if (!(saw_time && saw_user && saw_action && saw_latency && saw_class && saw_status)) {
-      result.errors.push_back({line_number, "missing required field"});
-      continue;
-    }
-    result.dataset.add(record);
-  }
-  result.dataset.sort_by_time();
-  return result;
-}
-
-std::uint32_t crc32(std::span<const std::uint8_t> data) {
-  static const auto table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-      t[i] = c;
-    }
-    return t;
-  }();
-  std::uint32_t crc = 0xffffffffu;
-  for (const std::uint8_t byte : data) crc = table[(crc ^ byte) & 0xffu] ^ (crc >> 8);
-  return crc ^ 0xffffffffu;
-}
-
-bool get_u32(std::istream& in, std::uint32_t& value) {
-  std::array<std::uint8_t, 4> bytes{};
-  if (!in.read(reinterpret_cast<char*>(bytes.data()), 4)) return false;
-  value = static_cast<std::uint32_t>(bytes[0]) |
-          (static_cast<std::uint32_t>(bytes[1]) << 8) |
-          (static_cast<std::uint32_t>(bytes[2]) << 16) |
-          (static_cast<std::uint32_t>(bytes[3]) << 24);
-  return true;
-}
-
-telemetry::Dataset read_binlog(std::istream& in) {
-  std::array<char, 4> magic{};
-  if (!in.read(magic.data(), magic.size()) ||
-      !(magic[0] == 'A' && magic[1] == 'S' && magic[2] == 'L' && magic[3] == '1')) {
-    throw std::runtime_error("read_binlog: bad magic");
-  }
-  telemetry::Dataset dataset;
-  std::uint32_t payload_len = 0;
-  while (get_u32(in, payload_len)) {
-    std::vector<std::uint8_t> payload(payload_len);
-    if (payload_len > 0 && !in.read(reinterpret_cast<char*>(payload.data()), payload_len)) {
-      throw std::runtime_error("read_binlog: truncated payload");
-    }
-    std::uint32_t stored_crc = 0;
-    if (!get_u32(in, stored_crc)) throw std::runtime_error("read_binlog: truncated crc");
-    if (stored_crc != crc32(payload)) {
-      throw std::runtime_error("read_binlog: crc mismatch");
-    }
-    for (const auto& r : telemetry::codec::decode_batch(payload)) dataset.add(r);
-  }
-  if (!in.eof() && in.fail()) throw std::runtime_error("read_binlog: stream read failed");
-  dataset.sort_by_time();
-  return dataset;
-}
-
-}  // namespace seed
 
 const std::string& million_record_csv() {
   static const std::string text = [] {
@@ -736,84 +428,53 @@ const std::string& million_record_jsonl() {
 void BM_IngestCsv(benchmark::State& state) {
   const std::string& text = million_record_csv();
   const auto threads = static_cast<std::size_t>(state.range(0));
-  std::istringstream in(text);
   for (auto _ : state) {
-    if (threads == 0) {
-      in.clear();
-      in.seekg(0);
-      auto result = seed::read_csv(in);
-      benchmark::DoNotOptimize(result.dataset.times().data());
-    } else {
-      auto result = telemetry::read_csv_buffer(text, {.threads = threads});
-      benchmark::DoNotOptimize(result.dataset.times().data());
-    }
+    auto result = telemetry::read_csv_buffer(text, {.threads = threads});
+    benchmark::DoNotOptimize(result.dataset.times().data());
   }
-  state.SetLabel(threads == 0 ? "seed_getline" : "chunked");
+  state.SetLabel("chunked");
   state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(text.size()));
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(million_record_dataset().size()));
 }
-BENCHMARK(BM_IngestCsv)->Arg(0)->Arg(1)->Arg(2)->Arg(4)
+BENCHMARK(BM_IngestCsv)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_IngestJsonl(benchmark::State& state) {
   const std::string& text = million_record_jsonl();
   const auto threads = static_cast<std::size_t>(state.range(0));
-  std::istringstream in(text);
   for (auto _ : state) {
-    if (threads == 0) {
-      in.clear();
-      in.seekg(0);
-      auto result = seed::read_jsonl(in);
-      benchmark::DoNotOptimize(result.dataset.times().data());
-    } else {
-      auto result = telemetry::read_jsonl_buffer(text, {.threads = threads});
-      benchmark::DoNotOptimize(result.dataset.times().data());
-    }
+    auto result = telemetry::read_jsonl_buffer(text, {.threads = threads});
+    benchmark::DoNotOptimize(result.dataset.times().data());
   }
-  state.SetLabel(threads == 0 ? "seed_getline" : "chunked");
+  state.SetLabel("chunked");
   state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(text.size()));
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(million_record_dataset().size()));
 }
-BENCHMARK(BM_IngestJsonl)->Arg(0)->Arg(1)->Arg(2)->Arg(4)
+BENCHMARK(BM_IngestJsonl)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_IngestBinlog(benchmark::State& state) {
-  // Arg(0): the seed format and path — ASL1 rows, serial varint decode.
-  // Arg(N): ASL2 columnar frames, CRC + memcpy with N threads.
-  static const std::string v1_bytes = [] {
-    std::ostringstream out;
-    telemetry::write_binlog_v1(out, million_record_dataset());
-    return out.str();
-  }();
-  static const std::string v2_bytes = [] {
+  // ASL2 columnar frames, CRC + memcpy with N threads.
+  static const std::string bytes = [] {
     std::ostringstream out;
     telemetry::write_binlog(out, million_record_dataset());
     return out.str();
   }();
   const auto threads = static_cast<std::size_t>(state.range(0));
-  const std::string& bytes = threads == 0 ? v1_bytes : v2_bytes;
   const std::span<const std::uint8_t> view(
       reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size());
-  std::istringstream in(bytes);
   for (auto _ : state) {
-    if (threads == 0) {
-      in.clear();
-      in.seekg(0);
-      auto dataset = seed::read_binlog(in);
-      benchmark::DoNotOptimize(dataset.times().data());
-    } else {
-      auto dataset = telemetry::read_binlog_buffer(view, {.threads = threads});
-      benchmark::DoNotOptimize(dataset.times().data());
-    }
+    auto dataset = telemetry::read_binlog_buffer(view, {.threads = threads});
+    benchmark::DoNotOptimize(dataset.times().data());
   }
-  state.SetLabel(threads == 0 ? "seed_v1_serial" : "v2_columnar");
+  state.SetLabel("v2_columnar");
   state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(bytes.size()));
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(million_record_dataset().size()));
 }
-BENCHMARK(BM_IngestBinlog)->Arg(0)->Arg(1)->Arg(2)->Arg(4)
+BENCHMARK(BM_IngestBinlog)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // ---------------------------------------------------------------------------
@@ -933,18 +594,13 @@ BENCHMARK(BM_KernelSavitzkyGolay)->Arg(0)->Arg(1)
 
 // ---------------------------------------------------------------------------
 // Net fan-in saturation sweep (BENCH_net.json): records/s vs simulated
-// session count for the three ingestion paths — the preserved poll()
-// baseline (net/collector_poll.h), the sharded epoll collector at 1/2/4
-// shards, and the batched UDP transport. Every row ships (roughly) the same
+// session count for the sharded epoll collector at 1/2/4 shards over TCP
+// and for the batched UDP transport. Every row ships (roughly) the same
 // total record budget; the sweep axis is how many sessions it is split
 // across, so high-session rows measure connection churn and fan-in, not
 // payload volume. Concurrency is capped at kNetBenchThreads emitter threads
 // that work through the session list, mimicking a bounded client pool in
-// front of a much larger session population. On multi-core hardware the
-// sharded rows are the ≥3× records/s story vs the poll baseline at ≥1k
-// sessions; on a single-core runner the sweep still records the whole curve
-// (and the correctness suites prove byte-identity), the speedup is just not
-// observable.
+// front of a much larger session population.
 
 constexpr std::size_t kNetRecordBudget = 65'536;  ///< Records per iteration.
 constexpr std::size_t kNetBenchThreads = 64;      ///< Concurrent emitter cap.
@@ -1022,23 +678,6 @@ void run_net_udp_sessions(std::uint16_t port, std::size_t sessions,
 std::size_t net_bench_per_session(std::size_t sessions) {
   return std::max<std::size_t>(1, kNetRecordBudget / sessions);
 }
-
-/// Baseline: the seed-era single-threaded poll() collector.
-void BM_NetTcpPoll(benchmark::State& state) {
-  const auto sessions = static_cast<std::size_t>(state.range(0));
-  const auto& records = net_bench_batch(net_bench_per_session(sessions));
-  std::int64_t delivered = 0;
-  for (auto _ : state) {
-    net::PollCollectorThread collector(sessions, net::CollectorOptions{},
-                                       /*timeout_ms=*/20'000);
-    run_net_tcp_sessions(collector.port(), sessions, records);
-    delivered += static_cast<std::int64_t>(collector.join().size());
-  }
-  state.SetLabel("poll_baseline");
-  state.SetItemsProcessed(delivered);
-}
-BENCHMARK(BM_NetTcpPoll)->Arg(1)->Arg(64)->Arg(1024)->Arg(10'000)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 /// Sharded epoll collector; Args are {sessions, shards}.
 void BM_NetTcpSharded(benchmark::State& state) {

@@ -39,8 +39,7 @@ std::vector<DayRange> day_ranges(const telemetry::Dataset& dataset) {
   return days;
 }
 
-/// Draw the day-slot assignment shared by the view and copy resamplers.
-/// Slot s is filled with a uniformly drawn source day, shifted onto day s
+/// Draw the day-slot assignment. Slot s is filled with a uniformly drawn source day, shifted onto day s
 /// (keeping time-of-day); slot-major order is globally time-sorted.
 std::vector<telemetry::DatasetView::Block> draw_blocks(std::span<const DayRange> days,
                                                        stats::Random& random) {
@@ -62,25 +61,6 @@ telemetry::DatasetView day_block_resample(const telemetry::Dataset& dataset,
   if (dataset.empty()) throw std::invalid_argument("day_block_resample: empty dataset");
   const auto days = day_ranges(dataset);
   return telemetry::DatasetView(dataset, draw_blocks(days, random));
-}
-
-telemetry::Dataset day_block_resample_copy(const telemetry::Dataset& dataset,
-                                           stats::Random& random) {
-  if (dataset.empty()) throw std::invalid_argument("day_block_resample: empty dataset");
-  const auto days = day_ranges(dataset);
-  const auto blocks = draw_blocks(days, random);
-
-  telemetry::Dataset resampled;
-  resampled.reserve(dataset.size());
-  for (const auto& block : blocks) {
-    for (std::size_t k = block.first; k < block.last; ++k) {
-      auto record = dataset[k];
-      record.time_ms += block.time_shift;  // keeps time-of-day, moves the day
-      resampled.add(record);
-    }
-  }
-  resampled.sort_by_time();
-  return resampled;
 }
 
 PreferenceWithConfidence analyze_with_confidence(const telemetry::Dataset& dataset,
@@ -116,13 +96,9 @@ PreferenceWithConfidence analyze_with_confidence(const telemetry::Dataset& datas
         auto& slot = replicate_draws[r];
         slot.at_probe.assign(result.probe_latency_ms.size(), std::nullopt);
         try {
-          // View path: the replicate is an index view over `dataset` —
-          // O(days) setup, no record copy or re-sort. The legacy copy path
-          // produces byte-identical curves (same draws, same sample order).
-          const auto curve = confidence.resample_by_view
-                                 ? analyze(day_block_resample(dataset, substream), options)
-                                 : analyze(day_block_resample_copy(dataset, substream),
-                                           options);
+          // The replicate is an index view over `dataset`: O(days) setup,
+          // no record copy or re-sort.
+          const auto curve = analyze(day_block_resample(dataset, substream), options);
           slot.usable = true;
           for (std::size_t p = 0; p < result.probe_latency_ms.size(); ++p) {
             if (curve.covers(result.probe_latency_ms[p])) {

@@ -27,11 +27,6 @@ namespace autosens::core {
 struct ConfidenceOptions {
   std::size_t replicates = 50;
   double confidence = 0.90;
-  /// When true (default), replicates analyze index-based DatasetViews; when
-  /// false they materialize full Dataset copies (the legacy path, kept for
-  /// golden comparisons and benchmarking). Both produce byte-identical
-  /// intervals.
-  bool resample_by_view = true;
 };
 
 /// A preference curve with per-probe-latency percentile intervals.
@@ -46,17 +41,9 @@ struct PreferenceWithConfidence {
 /// block selection (binary-searched day ranges + per-slot time shifts), no
 /// record copies, no re-sort. The view borrows `dataset` — it must stay
 /// alive and unmodified while the view is used. Days with no records are
-/// squeezed out (slots re-base onto sequential days starting at day 0), as
-/// the copying implementation always did.
+/// squeezed out (slots re-base onto sequential days starting at day 0).
 telemetry::DatasetView day_block_resample(const telemetry::Dataset& dataset,
                                           stats::Random& random);
-
-/// The legacy deep-copying resample: same draws, same record order, returns
-/// an owning Dataset. Consumes `random` identically to day_block_resample —
-/// with equal generator state both describe the exact same resample (golden
-/// determinism tests rely on this).
-telemetry::Dataset day_block_resample_copy(const telemetry::Dataset& dataset,
-                                           stats::Random& random);
 
 /// Run AutoSens and attach bootstrap intervals at `probe_latencies`.
 /// Replicates whose resample cannot support a curve (or does not cover a

@@ -20,6 +20,15 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Reconnect budget per session: hellos past 1 + this many are refused, so a
+/// peer replaying one session id cannot grow the spine's per-session work.
+constexpr std::size_t kMaxSessionReconnects = 1024;
+
+/// Per-session cap on tracked sequence gaps (frame- and datagram-level): a
+/// hostile seq jump costs at most this many set entries. Datagram gaps past
+/// the cap count as lost; frame gaps past it are never re-applied.
+constexpr std::size_t kMaxTrackedGaps = 4096;
+
 std::int64_t ms_between(Clock::time_point earlier, Clock::time_point later) noexcept {
   return std::chrono::duration_cast<std::chrono::milliseconds>(later - earlier).count();
 }
@@ -42,11 +51,9 @@ Collector::Collector(const CollectorOptions& options) : options_(options) {
     event_queues_.push_back(std::make_unique<SpscQueue<ShardEvent>>(4096));
     ShardOptions shard_options{
         .index = i,
-        .total = shard_count,
         .transport = options_.transport,
         .read_deadline_ms = options_.read_deadline_ms,
         .max_resync_bytes = options_.max_resync_bytes,
-        .recvmmsg_batch = options_.recvmmsg_batch,
         .ops = options_.ops,
     };
     shards_.push_back(std::make_unique<CollectorShard>(
@@ -57,23 +64,13 @@ Collector::Collector(const CollectorOptions& options) : options_(options) {
   }
 
   if (options_.transport == Transport::kTcp) {
-    if (options_.reuseport_accept) {
-      // One SO_REUSEPORT listener per shard: the kernel shards the accept
-      // queue, no handoff needed. Shard 0 resolves the ephemeral port.
-      for (std::uint32_t i = 0; i < shard_count; ++i) {
-        std::uint16_t bound = 0;
-        shards_[i]->set_tcp_listener(
-            listen_tcp_reuseport(i == 0 ? options_.port : port_, bound));
-        if (i == 0) port_ = bound;
-      }
-    } else {
-      // Portable fallback: shard 0 owns the only (nonblocking) listener and
-      // deals accepted fds round-robin to its siblings.
-      Socket listener = listen_tcp(options_.port, port_, 128);
-      set_nonblocking(listener.fd());
-      shards_[0]->set_tcp_listener(std::move(listener));
-      shards_[0]->set_handoff(
-          [this](std::uint32_t target, int fd) { shards_[target]->adopt_fd(fd); });
+    // One SO_REUSEPORT listener per shard: the kernel shards the accept
+    // queue. Shard 0 resolves the ephemeral port.
+    for (std::uint32_t i = 0; i < shard_count; ++i) {
+      std::uint16_t bound = 0;
+      shards_[i]->set_tcp_listener(
+          listen_tcp_reuseport(i == 0 ? options_.port : port_, bound));
+      if (i == 0) port_ = bound;
     }
   } else {
     // UDP: one SO_REUSEPORT-grouped socket per shard. A connected sender's
@@ -189,11 +186,10 @@ bool Collector::accept_seq(Session& session, std::uint32_t seq) {
   if (seq > session.last_seq) {
     std::uint64_t gaps = static_cast<std::uint64_t>(seq) - session.last_seq - 1;
     std::uint32_t gap = session.last_seq + 1;
-    while (gaps > 0 && session.missing.size() < options_.max_tracked_gaps) {
+    while (gaps > 0 && session.missing.size() < kMaxTrackedGaps) {
       session.missing.insert(gap++);
       --gaps;
     }
-    session.gap_overflow += gaps;
     session.last_seq = seq;
     return true;
   }
@@ -264,7 +260,7 @@ std::size_t Collector::apply_frame(const Frame& frame, Session* session,
         }
       } else {
         (void)session_id;
-        return 1;  // sessionless stream: credit per goodbye, as the poll era did
+        return 1;  // sessionless stream: credit per goodbye
       }
       break;
     case FrameType::kHello:
@@ -301,7 +297,7 @@ std::size_t Collector::apply_tcp_frames(ShardEvent& event) {
       } else {
         stats_.session_reconnects.add();
         collector_metrics().session_reconnects.inc();
-        if (session.connections_seen > options_.max_session_reconnects + 1) {
+        if (session.connections_seen > kMaxSessionReconnects + 1) {
           obs::log_info("collector.drop_connection",
                         {{"reason", "reconnect_budget"}, {"session", *id}});
           conn.dead = true;
@@ -380,7 +376,7 @@ std::size_t Collector::apply_udp_frames(ShardEvent& event) {
         if (frame.seq > s.dg_last) {
           std::uint64_t gaps = static_cast<std::uint64_t>(frame.seq) - s.dg_last - 1;
           std::uint32_t gap = s.dg_last + 1;
-          while (gaps > 0 && s.dg_missing.size() < options_.max_tracked_gaps) {
+          while (gaps > 0 && s.dg_missing.size() < kMaxTrackedGaps) {
             s.dg_missing.insert(gap++);
             --gaps;
           }
@@ -575,9 +571,8 @@ bool Collector::serve_until_goodbye(std::size_t expected_goodbyes, int timeout_m
   // ordering guarantees every byte sent before a session's goodbye is
   // already in some shard's kernel buffer, but not that the owning shard
   // has read it (a reconnect's earlier connection may sit on a different
-  // shard). The poll baseline got this for free by draining every ready fd
-  // in the same loop iteration; here each shard drains directly and acks
-  // with a kSync ordered after everything it ingested.
+  // shard), so each shard drains directly and acks with a kSync ordered
+  // after everything it ingested.
   std::size_t pending_syncs = shards_.size();
   for (auto& shard : shards_) shard->request_sync();
   const auto settle_start = Clock::now();

@@ -5,9 +5,7 @@
 // single spine thread — the caller of serve_until_goodbye — which owns every
 // cross-connection decision: session binding, exactly-once (session, seq)
 // dedup, record decode, Dataset splice, goodbye credit. Accept load is
-// sharded by the kernel via SO_REUSEPORT listeners (one per shard); when
-// reuseport_accept is off, shard 0 owns the only listener and deals accepted
-// fds round-robin to its siblings.
+// sharded by the kernel via SO_REUSEPORT listeners, one per shard.
 //
 // Transports: TCP (stream framing, per-connection FrameDecoder reassembly)
 // or UDP (wire-v2 frames packed into datagrams, each opening with a kHello
@@ -18,13 +16,16 @@
 // missing when the session finalizes is exported as
 // autosens_net_udp_lost_total — exact, per-session loss.
 //
-// Resilience semantics are inherited from the poll-era collector (preserved
-// as net/collector_poll.h, which doubles as the benchmark baseline and the
-// fault-matrix oracle): per-connection errors never kill the serve loop,
-// damaged bytes are resynced past with bounded budgets, retransmits dedup,
-// reconnects fold into one logical session stream regardless of which shard
-// they land on, silent connections are cut by the shard's event-loop timer,
-// and an idle timeout ends the loop with the partial Dataset intact.
+// Resilience: per-connection errors never kill the serve loop, damaged bytes
+// are resynced past with bounded budgets, retransmits dedup, reconnects fold
+// into one logical session stream regardless of which shard they land on,
+// silent connections are cut by the shard's event-loop timer, and an idle
+// timeout ends the loop with the partial Dataset intact. Hostile peers are
+// bounded by fixed caps (collector.cpp): a session may reconnect 1024 times
+// (kMaxSessionReconnects) and tracks at most 4096 open sequence gaps
+// (kMaxTrackedGaps).
+// The fault-matrix suite (net_shard_test) pins exactly-once delivery against
+// the records the emitters sent, not against a second collector.
 #pragma once
 
 #include <atomic>
@@ -72,35 +73,24 @@ struct CollectorStats {
   std::size_t udp_lost = 0;  ///< Datagram gaps still open at session finalize.
 };
 
-/// Collector configuration beyond the bind port; all defaults reproduce the
-/// permissive seed-era behaviour with a single shard.
+/// Collector configuration beyond the bind port; the defaults are a single
+/// permissive TCP shard.
 struct CollectorOptions {
   std::uint16_t port = 0;     ///< 0 = ephemeral.
   int read_deadline_ms = -1;  ///< Drop a connection silent this long (-1 = never).
   /// Drop a connection once resync has discarded this much garbage.
   std::size_t max_resync_bytes = 1 << 20;
-  /// Reconnect budget per session; beyond it new hellos are refused.
-  std::size_t max_session_reconnects = 1024;
   /// Syscall surface for reads; nullptr = real syscalls (fault injection).
   SocketOps* ops = nullptr;
   /// Ingest event loops. Each shard is one thread with its own epoll set.
   std::size_t shards = 1;
   Transport transport = Transport::kTcp;
-  /// TCP accept sharding: true = one SO_REUSEPORT listener per shard
-  /// (kernel load balancing); false = shard 0 accepts and hands fds
-  /// round-robin to the others (portable fallback).
-  bool reuseport_accept = true;
   /// SO_RCVBUF for UDP sockets (0 = kernel default). Loopback bursts at
   /// 10k-session fan-in overflow default buffers, which shows up as loss.
   int rcvbuf_bytes = 0;
-  std::size_t recvmmsg_batch = 32;  ///< Datagrams per recvmmsg call.
-  /// Per-session cap on tracked sequence gaps (frame- and datagram-level).
-  /// Gaps past the cap are treated as permanently lost.
-  std::size_t max_tracked_gaps = 4096;
 };
 
-/// Sharded collector. The public surface (and the semantics the tests pin)
-/// is unchanged from the poll era: construct, let emitters connect, call
+/// Sharded collector: construct, let emitters connect, call
 /// serve_until_goodbye, take the dataset.
 class Collector {
  public:
@@ -142,10 +132,9 @@ class Collector {
   struct Session {
     std::uint32_t last_seq = 0;       ///< Highest frame seq applied.
     std::set<std::uint32_t> missing;  ///< Frame seqs below last_seq not yet seen.
-    std::size_t gap_overflow = 0;     ///< Gaps dropped past max_tracked_gaps.
     std::uint32_t dg_last = 0;        ///< Highest datagram seq accepted (UDP).
     std::set<std::uint32_t> dg_missing;  ///< Datagram gaps (UDP loss-to-be).
-    std::size_t dg_overflow = 0;
+    std::size_t dg_overflow = 0;  ///< Datagram gaps past kMaxTrackedGaps (lost).
     bool said_goodbye = false;
     bool finalized = false;  ///< Loss already counted for this session.
     std::size_t connections_seen = 0;

@@ -1,8 +1,7 @@
-// Global registry mirrors of the per-instance collector counters, shared by
-// the sharded epoll collector (net/collector.h) and the preserved poll()
-// baseline (net/collector_poll.h) so a process-wide metrics snapshot sees
-// one ingest path regardless of which implementation served it. The obs
-// registry dedups by metric name, so both callers get the same handles.
+// Global registry mirrors of the per-instance collector counters
+// (net/collector.h): one handle set per process, so a metrics snapshot sums
+// every Collector instance. The obs registry dedups by metric name, so the
+// handles are shared, not re-registered, across instances.
 #pragma once
 
 #include "obs/metrics.h"

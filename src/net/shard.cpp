@@ -28,9 +28,12 @@ constexpr std::uint64_t kUdpTag = ~std::uint64_t{0} - 1;
 /// EAGAIN burst shorter than this cannot permanently mask kernel bytes.
 constexpr std::size_t kRetryRounds = 64;
 
-/// Read size per recv: matches the poll-baseline collector so the
-/// backpressure definition (a read that fills the whole buffer) compares.
+/// Read size per recv; a read that fills the whole buffer counts as
+/// backpressure.
 constexpr std::size_t kReadBytes = 16384;
+
+/// Datagrams per recvmmsg call.
+constexpr std::size_t kRecvmmsgBatch = 32;
 
 /// Per-datagram receive buffer; comfortably above the emitter's
 /// max_datagram_bytes so datagrams are never truncated by the reader.
@@ -47,8 +50,7 @@ CollectorShard::CollectorShard(const ShardOptions& options, SpscQueue<ShardEvent
     : options_(options),
       out_(out),
       notify_(std::move(notify)),
-      close_requests_(256),
-      adoptions_(256) {
+      controls_(256) {
   if (options_.ops == nullptr) options_.ops = &real_socket_ops();
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
   if (epoll_fd_ < 0) throw SocketError("epoll_create1()", errno);
@@ -104,10 +106,6 @@ void CollectorShard::set_udp_socket(Socket socket) {
   }
 }
 
-void CollectorShard::set_handoff(std::function<void(std::uint32_t, int)> handoff) {
-  handoff_ = std::move(handoff);
-}
-
 void CollectorShard::start() {
   if (started_.exchange(true)) return;
   thread_ = std::thread([this] { run(); });
@@ -126,35 +124,19 @@ void CollectorShard::wake() {
   }
 }
 
+void CollectorShard::push_control(Control control) {
+  while (!controls_.try_push(std::move(control))) {
+    if (stop_.load(std::memory_order_acquire)) return;
+    std::this_thread::yield();
+  }
+  wake();
+}
+
 void CollectorShard::request_close(std::uint64_t conn) {
-  Control control{.kind = Control::Kind::kClose, .conn = conn, .fd = -1};
-  while (!close_requests_.try_push(std::move(control))) {
-    if (stop_.load(std::memory_order_acquire)) return;
-    std::this_thread::yield();
-  }
-  wake();
+  push_control({.kind = Control::Kind::kClose, .conn = conn});
 }
 
-void CollectorShard::request_sync() {
-  Control control{.kind = Control::Kind::kSync, .conn = 0, .fd = -1};
-  while (!close_requests_.try_push(std::move(control))) {
-    if (stop_.load(std::memory_order_acquire)) return;
-    std::this_thread::yield();
-  }
-  wake();
-}
-
-void CollectorShard::adopt_fd(int fd) {
-  Control control{.kind = Control::Kind::kAdopt, .conn = 0, .fd = fd};
-  while (!adoptions_.try_push(std::move(control))) {
-    if (stop_.load(std::memory_order_acquire)) {
-      ::close(fd);
-      return;
-    }
-    std::this_thread::yield();
-  }
-  wake();
-}
+void CollectorShard::request_sync() { push_control({.kind = Control::Kind::kSync}); }
 
 ShardStats CollectorShard::stats() const noexcept {
   return ShardStats{
@@ -235,15 +217,6 @@ void CollectorShard::handle_accept() {
   for (;;) {
     const int fd = options_.ops->accept4_fd(tcp_listener_.fd());
     if (fd >= 0) {
-      if (handoff_ && options_.total > 1) {
-        // Shared-accept fallback: this shard owns the only listener and
-        // deals accepted fds round-robin across the fleet (itself included).
-        const std::uint32_t target = next_handoff_++ % options_.total;
-        if (target != options_.index) {
-          handoff_(target, fd);
-          continue;
-        }
-      }
       add_connection(fd);
       continue;
     }
@@ -385,8 +358,8 @@ void CollectorShard::reap_deadlines() {
       continue;
     }
     if (ms_between(it->second.last_activity, now) < options_.read_deadline_ms) break;
-    // Flush whatever decoded before cutting, mirroring the poll baseline
-    // (deadline drops keep already-decoded records).
+    // Flush whatever decoded before cutting: deadline drops keep
+    // already-decoded records.
     emit_frames(it->second);
     close_connection(it->first, ShardEvent::EofReason::kDeadline, 0, true);
   }
@@ -394,7 +367,7 @@ void CollectorShard::reap_deadlines() {
 
 void CollectorShard::process_controls() {
   Control control;
-  while (close_requests_.try_pop(control)) {
+  while (controls_.try_pop(control)) {
     if (control.kind == Control::Kind::kSync) {
       ++sync_pending_;
       sync_drain_needed_ = true;
@@ -405,28 +378,24 @@ void CollectorShard::process_controls() {
     // connection EOF'd first; nothing to do.
     close_connection(control.conn, ShardEvent::EofReason::kClean, 0, false);
   }
-  while (adoptions_.try_pop(control)) {
-    add_connection(control.fd);
-  }
 }
 
 void CollectorShard::drain_udp() {
   if (!udp_socket_.valid()) return;
-  const std::size_t batch = std::clamp<std::size_t>(options_.recvmmsg_batch, 1, 64);
-  std::vector<std::vector<std::uint8_t>> buffers(batch,
-                                                 std::vector<std::uint8_t>(kDatagramBufBytes));
-  std::vector<iovec> iovs(batch);
-  std::vector<mmsghdr> msgs(batch);
+  std::vector<std::vector<std::uint8_t>> buffers(
+      kRecvmmsgBatch, std::vector<std::uint8_t>(kDatagramBufBytes));
+  std::vector<iovec> iovs(kRecvmmsgBatch);
+  std::vector<mmsghdr> msgs(kRecvmmsgBatch);
 
   for (;;) {
-    for (std::size_t i = 0; i < batch; ++i) {
+    for (std::size_t i = 0; i < kRecvmmsgBatch; ++i) {
       iovs[i] = {.iov_base = buffers[i].data(), .iov_len = buffers[i].size()};
       msgs[i] = {};
       msgs[i].msg_hdr.msg_iov = &iovs[i];
       msgs[i].msg_hdr.msg_iovlen = 1;
     }
     const int n = options_.ops->recvmmsg(udp_socket_.fd(), msgs.data(),
-                                         static_cast<unsigned>(batch));
+                                         static_cast<unsigned>(kRecvmmsgBatch));
     if (n < 0) {
       const int err = -n;
       if (err == EINTR) continue;

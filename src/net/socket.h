@@ -122,8 +122,7 @@ Socket listen_tcp(std::uint16_t port, std::uint16_t& bound_port, int backlog = 1
 
 /// Like listen_tcp, but nonblocking and with SO_REUSEPORT, so N collector
 /// shards can each own a listener on the same port and let the kernel shard
-/// the accept queue. Throws SocketError if SO_REUSEPORT is unsupported
-/// (callers fall back to shared-accept handoff).
+/// the accept queue. Throws SocketError if SO_REUSEPORT is unsupported.
 Socket listen_tcp_reuseport(std::uint16_t port, std::uint16_t& bound_port,
                             int backlog = 128);
 

@@ -26,7 +26,7 @@
 // round-trips exactly (raw double bits).
 //
 // write_binlog emits ASL2; read_binlog reads both. write_binlog_v1 is kept
-// for compatibility fixtures, parity tests, and the seed-path benchmark.
+// for compatibility fixtures and parity tests.
 #pragma once
 
 #include <cstdint>

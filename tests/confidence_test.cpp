@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cstdint>
 #include <set>
+#include <span>
 
 #include "simulate/generator.h"
 #include "simulate/presets.h"
@@ -20,6 +24,21 @@ telemetry::Dataset small_slice(std::uint64_t seed) {
           .generate();
   return telemetry::validate(generated.dataset)
       .dataset.filtered(telemetry::by_action(telemetry::ActionType::kSelectMail));
+}
+
+/// FNV-1a over the bit patterns of a times column and a latencies column.
+std::uint64_t column_digest(std::span<const std::int64_t> times,
+                            std::span<const double> latencies) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto mix = [&](std::uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (value >> (8 * byte)) & 0xff;
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  for (const std::int64_t t : times) mix(static_cast<std::uint64_t>(t));
+  for (const double latency : latencies) mix(std::bit_cast<std::uint64_t>(latency));
+  return hash;
 }
 
 TEST(DayBlockResampleTest, EmptyDatasetThrows) {
@@ -66,38 +85,27 @@ TEST(DayBlockResampleTest, ActuallyResamples) {
   EXPECT_NE(a.size(), b.size());  // overwhelmingly likely with 14 days
 }
 
-TEST(DayBlockResampleTest, ViewMatchesLegacyCopyExactly) {
-  // Golden determinism check: with equal generator state the index view and
-  // the deep-copying resampler describe byte-identical datasets.
+TEST(DayBlockResampleTest, ViewMatchesFrozenDigest) {
+  // Golden determinism check: the resample of a fixed slice under a fixed
+  // generator state, frozen when the view was proven identical to a
+  // deep-copying resampler (same draws, same record order, then re-sort).
   const auto slice = small_slice(68);
-  stats::Random view_rng(9);
-  stats::Random copy_rng(9);
-  const auto view = day_block_resample(slice, view_rng);
-  const auto copy = day_block_resample_copy(slice, copy_rng);
-  ASSERT_EQ(view.size(), copy.size());
-  const auto view_times = view.times();
-  const auto view_latencies = view.latencies();
-  const auto copy_times = copy.times();
-  const auto copy_latencies = copy.latencies();
-  EXPECT_TRUE(std::equal(view_times.begin(), view_times.end(), copy_times.begin()));
-  EXPECT_TRUE(std::equal(view_latencies.begin(), view_latencies.end(),
-                         copy_latencies.begin()));
-  // Spot-check the full record gather (ids, enums) and the materialization.
+  stats::Random random(9);
+  const auto view = day_block_resample(slice, random);
+  ASSERT_EQ(view.size(), 133406u);
+  EXPECT_EQ(view.times().front(), 1047);
+  EXPECT_EQ(view.times().back(), 1209595984);
+  EXPECT_EQ(column_digest(view.times(), view.latencies()), 0x80b2718bf81f7583ULL);
+  // The record gather agrees with the columns, and materializing keeps the
+  // exact rows in the same (sorted) order.
   for (const std::size_t i : {std::size_t{0}, view.size() / 2, view.size() - 1}) {
-    const auto a = view[i];
-    const auto b = copy[i];
-    EXPECT_EQ(a.time_ms, b.time_ms);
-    EXPECT_EQ(a.user_id, b.user_id);
-    EXPECT_DOUBLE_EQ(a.latency_ms, b.latency_ms);
-    EXPECT_EQ(a.action, b.action);
-    EXPECT_EQ(a.user_class, b.user_class);
-    EXPECT_EQ(a.status, b.status);
+    EXPECT_EQ(view[i].time_ms, view.times()[i]);
+    EXPECT_EQ(view[i].latency_ms, view.latencies()[i]);
   }
   const auto materialized = view.materialize();
-  ASSERT_EQ(materialized.size(), copy.size());
   EXPECT_TRUE(materialized.is_sorted());
-  const auto mat_times = materialized.times();
-  EXPECT_TRUE(std::equal(mat_times.begin(), mat_times.end(), copy_times.begin()));
+  EXPECT_EQ(column_digest(materialized.times(), materialized.latencies()),
+            0x80b2718bf81f7583ULL);
 }
 
 TEST(DayBlockResampleTest, SingleDayDatasetResamplesToItself) {
@@ -142,12 +150,6 @@ TEST(DayBlockResampleTest, EmptyMiddleDaysAreSqueezedOut) {
   EXPECT_LE(telemetry::day_index(view.end_time() - 1), 1);
   const auto times = view.times();
   EXPECT_TRUE(std::is_sorted(times.begin(), times.end()));
-  // And the copy path squeezes identically under the same draws.
-  stats::Random copy_rng(11);
-  const auto copy = day_block_resample_copy(d, copy_rng);
-  const auto copy_times = copy.times();
-  ASSERT_EQ(copy.size(), view.size());
-  EXPECT_TRUE(std::equal(times.begin(), times.end(), copy_times.begin()));
 }
 
 TEST(AnalyzeWithConfidenceTest, Validation) {
@@ -180,22 +182,32 @@ TEST(AnalyzeWithConfidenceTest, IntervalsCoverPointEstimate) {
   }
 }
 
-TEST(AnalyzeWithConfidenceTest, ViewAndCopyPathsAreByteIdentical) {
+TEST(AnalyzeWithConfidenceTest, IntervalsMatchFrozenBits) {
+  // Golden intervals for two generator seeds, frozen bit for bit when the
+  // view path was proven identical to a deep-copying resampler. Any change
+  // to the draws, the resample or the estimator shows up here.
+  struct Golden {
+    std::uint64_t seed;
+    std::array<std::uint64_t, 4> bits;  ///< lo/hi at 500 ms, lo/hi at 1000 ms.
+  };
+  const Golden goldens[] = {
+      {8, {0x3fed57fe700a5fb2ULL, 0x3fee106998c28a52ULL, 0x3fe7deb9c1d93e9cULL,
+           0x3fe918e7ca194c79ULL}},
+      {9, {0x3fed8b4aea6c8692ULL, 0x3fee096316aa77d8ULL, 0x3fe7f3c009244d3bULL,
+           0x3fe920e64a5db44dULL}},
+  };
   const auto slice = small_slice(67);
-  stats::Random view_rng(8);
-  stats::Random copy_rng(8);
-  const auto via_view = analyze_with_confidence(
-      slice, AutoSensOptions{}, {500.0, 1000.0},
-      {.replicates = 8, .resample_by_view = true}, view_rng);
-  const auto via_copy = analyze_with_confidence(
-      slice, AutoSensOptions{}, {500.0, 1000.0},
-      {.replicates = 8, .resample_by_view = false}, copy_rng);
-  EXPECT_EQ(via_view.usable_replicates, via_copy.usable_replicates);
-  ASSERT_EQ(via_view.intervals.size(), via_copy.intervals.size());
-  for (std::size_t p = 0; p < via_view.intervals.size(); ++p) {
-    // Bit-for-bit, not approximately: the view is the same resample.
-    EXPECT_EQ(via_view.intervals[p].lo, via_copy.intervals[p].lo);
-    EXPECT_EQ(via_view.intervals[p].hi, via_copy.intervals[p].hi);
+  for (const auto& golden : goldens) {
+    SCOPED_TRACE(testing::Message() << "seed=" << golden.seed);
+    stats::Random random(golden.seed);
+    const auto result = analyze_with_confidence(slice, AutoSensOptions{}, {500.0, 1000.0},
+                                                {.replicates = 8}, random);
+    EXPECT_EQ(result.usable_replicates, 8u);
+    ASSERT_EQ(result.intervals.size(), 2u);
+    for (std::size_t p = 0; p < 2; ++p) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(result.intervals[p].lo), golden.bits[2 * p]);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(result.intervals[p].hi), golden.bits[2 * p + 1]);
+    }
   }
 }
 

@@ -1,30 +1,32 @@
-// Sharded-collector correctness against the poll-era oracle.
+// Sharded-collector correctness against the records the emitters sent.
 //
-// The sharded epoll collector (net/collector.h) must be *observationally
-// identical* to the preserved single-threaded PollCollector under every
-// injected failure class, at every shard count: same Dataset bytes, all
-// goodbyes credited. The spine's ordering contract makes this exact, not
-// approximate — per-session frame order is preserved through any shard
-// placement, and the Dataset is canonically time-sorted.
+// Every beacon must land exactly once: under every injected failure class,
+// at every shard count, the collected Dataset must encode to exactly the
+// bytes of the emitted records, time-sorted (expected_bytes — no collector
+// involved), with all goodbyes credited. Record times are globally unique,
+// so the time-sorted Dataset has one order regardless of arrival
+// interleaving or shard placement.
 //
 // Also covered here: the kEagainStorm class (edge-triggered loops that
 // trust one EAGAIN as "drained" lose the edge — the shard's bounded re-poll
 // list is the defense), read deadlines enforced by the event-loop timer
-// against fully silent connections, and the shared-accept fallback
-// (reuseport_accept = false: shard 0 deals fds round-robin).
+// against fully silent connections, SO_REUSEPORT accept sharding, and the
+// two per-session bounds against hostile peers (reconnect budget, gap cap).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "net/collector.h"
-#include "net/collector_poll.h"
 #include "net/emitter.h"
 #include "net/fault.h"
 #include "net/wire.h"
+#include "obs/health.h"
 #include "telemetry/binlog.h"
 #include "telemetry/record.h"
 
@@ -136,44 +138,40 @@ telemetry::Dataset run_sharded(std::size_t shards, std::size_t emitters,
   return dataset;
 }
 
-/// The oracle: the preserved poll() collector on the identical clean
-/// workload.
-std::vector<std::uint8_t> oracle_bytes(std::size_t emitters, std::size_t per_emitter) {
-  PollCollectorThread collector(emitters, CollectorOptions{}, /*timeout_ms=*/10'000);
-  std::vector<std::thread> threads;
+/// The oracle: the exact dataset an exactly-once collector must deliver —
+/// every emitter's striped_records, time-sorted, wire-encoded. No collector
+/// is involved, so it cannot share a collector bug.
+std::vector<std::uint8_t> expected_bytes(std::size_t emitters, std::size_t per_emitter) {
+  std::vector<ActionRecord> records;
+  records.reserve(emitters * per_emitter);
   for (std::size_t t = 0; t < emitters; ++t) {
-    threads.emplace_back([&, t] {
-      Emitter emitter(collector.port(), {.batch_size = 32});
-      for (const auto& r : striped_records(per_emitter, emitters, t)) emitter.record(r);
-      emitter.close();
-    });
+    const auto part = striped_records(per_emitter, emitters, t);
+    records.insert(records.end(), part.begin(), part.end());
   }
-  for (auto& thread : threads) thread.join();
-  auto dataset = collector.join();
-  EXPECT_TRUE(collector.complete());
-  return dataset_bytes(dataset);
+  std::sort(records.begin(), records.end(),
+            [](const ActionRecord& a, const ActionRecord& b) { return a.time_ms < b.time_ms; });
+  return telemetry::codec::encode_batch(records);
 }
 
-TEST(NetShardTest, FaultMatrixByteIdenticalToPollOracleAcrossShardCounts) {
+TEST(NetShardTest, FaultMatrixByteIdenticalToEmittedRecordsAcrossShardCounts) {
   constexpr std::size_t kPerEmitter = 240;
   constexpr std::size_t kEmitters = 4;
-  const auto oracle = oracle_bytes(kEmitters, kPerEmitter);
-  ASSERT_FALSE(oracle.empty());
+  const auto expected = expected_bytes(kEmitters, kPerEmitter);
+  ASSERT_FALSE(expected.empty());
 
   for (const std::size_t shards : {1u, 2u, 4u}) {
     SCOPED_TRACE(testing::Message() << "shards=" << shards);
-    // Clean sharded run first: the refactor itself must be invisible.
     const auto clean =
         run_sharded(shards, kEmitters, kPerEmitter, std::nullopt, 0x5a4d);
-    EXPECT_EQ(dataset_bytes(clean), oracle);
+    EXPECT_EQ(dataset_bytes(clean), expected);
 
     for (const auto& matrix_case : kMatrix) {
       SCOPED_TRACE(matrix_case.name);
       const auto dataset =
           run_sharded(shards, kEmitters, kPerEmitter, matrix_case, 0x5a4d);
       EXPECT_EQ(dataset.size(), kEmitters * kPerEmitter);
-      EXPECT_EQ(dataset_bytes(dataset), oracle)
-          << "sharded recovery must be byte-identical to the poll oracle";
+      EXPECT_EQ(dataset_bytes(dataset), expected)
+          << "recovery must deliver every emitted record exactly once";
     }
   }
 }
@@ -185,7 +183,7 @@ TEST(NetShardTest, EagainStormDoesNotLoseTheEdge) {
   // re-reading until real progress resumes — dataset still byte-identical.
   constexpr std::size_t kPerEmitter = 240;
   constexpr std::size_t kEmitters = 4;
-  const auto oracle = oracle_bytes(kEmitters, kPerEmitter);
+  const auto expected = expected_bytes(kEmitters, kPerEmitter);
 
   for (const std::size_t shards : {1u, 2u, 4u}) {
     SCOPED_TRACE(testing::Message() << "shards=" << shards);
@@ -195,7 +193,7 @@ TEST(NetShardTest, EagainStormDoesNotLoseTheEdge) {
         /*collector_side=*/true};
     const auto dataset = run_sharded(shards, kEmitters, kPerEmitter, storm, 0x570c);
     EXPECT_EQ(dataset.size(), kEmitters * kPerEmitter);
-    EXPECT_EQ(dataset_bytes(dataset), oracle);
+    EXPECT_EQ(dataset_bytes(dataset), expected);
   }
 }
 
@@ -204,8 +202,7 @@ TEST(NetShardTest, EventLoopTimerCutsFullySilentConnection) {
   // ever — produces no read return for the deadline to piggyback on. Only
   // the event-loop timer can cut it. The frames delivered before the cut
   // stay in the dataset; the drop is classified as a deadline drop (not an
-  // interrupted session — that classification is for clean EOFs), matching
-  // the poll-era semantics.
+  // interrupted session — that classification is for clean EOFs).
   CollectorOptions options;
   options.shards = 2;
   options.read_deadline_ms = 100;
@@ -236,51 +233,11 @@ TEST(NetShardTest, EventLoopTimerCutsFullySilentConnection) {
       << "frames delivered before the deadline cut must be kept";
 }
 
-TEST(NetShardTest, SharedAcceptFallbackDealsConnectionsRoundRobin) {
-  // reuseport_accept = false: shard 0 owns the only listener and hands
-  // accepted fds round-robin across the fleet. Every shard must end up
-  // owning connections, and the collected dataset is still exact.
-  constexpr std::size_t kShards = 4;
-  constexpr std::size_t kEmitters = 8;
-  constexpr std::size_t kPerEmitter = 120;
-
-  CollectorOptions options;
-  options.shards = kShards;
-  options.reuseport_accept = false;
-  Collector collector(options);
-
-  std::vector<std::thread> threads;
-  for (std::size_t t = 0; t < kEmitters; ++t) {
-    threads.emplace_back([&, t] {
-      Emitter emitter(collector.port(), {.batch_size = 32});
-      for (const auto& r : striped_records(kPerEmitter, kEmitters, t)) emitter.record(r);
-      emitter.close();
-    });
-  }
-  const bool complete = collector.serve_until_goodbye(kEmitters, /*timeout_ms=*/10'000);
-  for (auto& thread : threads) thread.join();
-
-  EXPECT_TRUE(complete);
-  EXPECT_EQ(collector.dataset().size(), kEmitters * kPerEmitter);
-
-  const auto shard_stats = collector.shard_stats();
-  ASSERT_EQ(shard_stats.size(), kShards);
-  std::size_t total_connections = 0;
-  for (std::size_t s = 0; s < kShards; ++s) {
-    SCOPED_TRACE(testing::Message() << "shard=" << s);
-    // Round-robin dealing: 8 emitters over 4 shards = 2 each (emitters
-    // connect once and never reconnect in this clean run).
-    EXPECT_EQ(shard_stats[s].connections, kEmitters / kShards);
-    total_connections += shard_stats[s].connections;
-  }
-  EXPECT_EQ(total_connections, kEmitters);
-  EXPECT_EQ(collector.stats().connections, kEmitters);
-}
-
 TEST(NetShardTest, ReuseportShardsAccountAllConnections) {
-  // Kernel accept sharding (the default): placement is the kernel's
-  // 4-tuple hash, so per-shard counts are not asserted — only that every
-  // connection is owned by exactly one shard and nothing is double-counted.
+  // Kernel accept sharding: placement is the kernel's 4-tuple hash, so
+  // per-shard counts are not asserted — only that every connection is owned
+  // by exactly one shard, nothing is double-counted, and every record lands
+  // exactly once.
   constexpr std::size_t kShards = 4;
   constexpr std::size_t kEmitters = 8;
   constexpr std::size_t kPerEmitter = 120;
@@ -307,6 +264,90 @@ TEST(NetShardTest, ReuseportShardsAccountAllConnections) {
   std::size_t total_connections = 0;
   for (const auto& s : shard_stats) total_connections += s.connections;
   EXPECT_EQ(total_connections, kEmitters);
+  EXPECT_EQ(dataset_bytes(collector.take_dataset()), expected_bytes(kEmitters, kPerEmitter));
+}
+
+/// One data frame carrying the single record with time `k`.
+Frame one_record_frame(std::uint32_t seq, std::size_t k) {
+  const auto records = striped_records(1, 1, k);
+  return Frame{.type = FrameType::kData,
+               .seq = seq,
+               .payload = telemetry::codec::encode_batch(records)};
+}
+
+Frame goodbye_frame(std::uint32_t seq) {
+  Frame frame;
+  frame.type = FrameType::kGoodbye;
+  frame.seq = seq;
+  return frame;
+}
+
+/// Open a connection for `session` that sends its hello and then `frames`.
+void send_session_frames(std::uint16_t port, std::uint64_t session,
+                         const std::vector<Frame>& frames) {
+  auto socket = connect_tcp(port);
+  write_all(socket, encode_frame(make_hello(session)));
+  for (const auto& frame : frames) write_all(socket, encode_frame(frame));
+}
+
+TEST(NetShardTest, ReconnectBudgetRefusesHellosPastTheBudget) {
+  // A session may connect 1 + 1024 times (the collector's reconnect
+  // budget); every later hello for it is refused: the connection is
+  // dropped and its records never land.
+  constexpr std::size_t kBudget = 1024;
+  constexpr std::size_t kExtra = 2;
+  constexpr std::uint64_t kSession = 0xb0d9e7ULL;
+  CollectorThread collector(/*expected_goodbyes=*/1);
+
+  for (std::size_t k = 0; k < 1 + kBudget + kExtra; ++k) {
+    // Pace the connects so the accept backlog never overflows into SYN
+    // retransmits; the collector accounts them in arrival order either way.
+    while (collector.stats().connections + 64 < k) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    send_session_frames(collector.port(), kSession,
+                        {one_record_frame(static_cast<std::uint32_t>(k + 1), k)});
+  }
+  send_session_frames(collector.port(), kSession + 1, {goodbye_frame(1)});
+  const auto dataset = collector.join();
+
+  EXPECT_TRUE(collector.complete());
+  const auto stats = collector.stats();
+  EXPECT_EQ(stats.session_reconnects, kBudget + kExtra);
+  EXPECT_EQ(stats.dropped_connections, kExtra);
+  EXPECT_EQ(dataset.size(), 1 + kBudget) << "refused connections' records must not land";
+}
+
+/// The "gaps" value of `session` in the /statusz section of the collector
+/// listening on `port` (-1 when absent).
+long statusz_gaps(std::uint16_t port, std::uint64_t session) {
+  for (const auto& [name, json] : obs::StatusRegistry::global().render()) {
+    if (name != "collector:" + std::to_string(port)) continue;
+    const auto at = json.find("\"" + std::to_string(session) + "\": {");
+    if (at == std::string::npos) return -1;
+    const std::string key = "\"gaps\": ";
+    const auto gaps = json.find(key, at);
+    if (gaps == std::string::npos) return -1;
+    return std::stol(json.substr(gaps + key.size()));
+  }
+  return -1;
+}
+
+TEST(NetShardTest, SeqJumpTracksAtMostTheGapCap) {
+  // A frame-seq jump far past the last applied frame opens one gap per
+  // skipped seq, but a session tracks at most 4096 of them — a hostile
+  // seq cannot grow the spine's per-session state without bound.
+  constexpr std::size_t kGapCap = 4096;
+  constexpr std::uint64_t kSession = 0x9a95ULL;
+  Collector collector;
+  send_session_frames(
+      collector.port(), kSession,
+      {one_record_frame(1, 0), one_record_frame(static_cast<std::uint32_t>(kGapCap + 100), 1),
+       goodbye_frame(0)});
+  ASSERT_TRUE(collector.serve_until_goodbye(1, /*timeout_ms=*/10'000));
+
+  EXPECT_EQ(collector.dataset().size(), 2u);
+  EXPECT_EQ(statusz_gaps(collector.port(), kSession), static_cast<long>(kGapCap));
 }
 
 }  // namespace

@@ -281,7 +281,7 @@ void finish_observability(const cli::Args& args) {
 /// both the parse and the analysis thread counts.
 telemetry::IngestOptions ingest_options_from_flags(const cli::Args& args) {
   telemetry::IngestOptions options;
-  options.threads = static_cast<std::size_t>(args.get_int("threads", 0));
+  options.threads = args.get_int<std::size_t>("threads", 0);
   return options;
 }
 
@@ -354,9 +354,7 @@ core::AutoSensOptions options_from_flags(const cli::Args& args) {
   options.max_latency_ms = args.get_double("max-latency", options.max_latency_ms);
   if (args.has("no-normalize")) options.normalize_time_confounder = false;
   if (args.has("mc")) options.unbiased_method = core::UnbiasedMethod::kMonteCarlo;
-  const auto threads = args.get_int("threads", 0);
-  if (threads < 0) throw std::invalid_argument("--threads must be >= 0");
-  options.threads = static_cast<std::size_t>(threads);
+  options.threads = args.get_int<std::size_t>("threads", 0);
   return options;
 }
 
@@ -380,13 +378,12 @@ int cmd_generate(const cli::Args& args) {
   else if (scale_name == "full") scale = simulate::Scale::kFull;
   else throw std::invalid_argument("unknown scale: " + scale_name);
 
-  auto config = simulate::paper_config(
-      scale, static_cast<std::uint64_t>(args.get_int("seed", 42)));
+  auto config = simulate::paper_config(scale, args.get_int<std::uint64_t>("seed", 42));
   if (const auto days = args.get_int("days", 0); days > 0) {
     config.end_ms = config.begin_ms + days * telemetry::kMillisPerDay;
   }
-  if (const auto users = args.get_int("users", 0); users > 0) {
-    config.population.user_count = static_cast<std::size_t>(users);
+  if (const auto users = args.get_int<std::size_t>("users", 0); users > 0) {
+    config.population.user_count = users;
   }
 
   obs::log_info("generate.start",
@@ -435,8 +432,7 @@ int cmd_analyze(const cli::Args& args) {
   if (args.has("confidence")) {
     stats::Random random(17);
     core::ConfidenceOptions confidence;
-    confidence.replicates =
-        static_cast<std::size_t>(args.get_int("replicates", 50));
+    confidence.replicates = args.get_int<std::size_t>("replicates", 50);
     const auto result = core::analyze_with_confidence(
         slice, options, {500.0, 750.0, 1000.0, 1500.0, 2000.0}, confidence, random);
     report::Table table({"latency (ms)", "NLP", "90% CI"});
@@ -597,7 +593,7 @@ int cmd_alpha(const cli::Args& args) {
   const auto dataset = load_scrubbed(args.require("in"), ingest_options_from_flags(args)).dataset;
   const auto slice = apply_slice_flags(dataset, args);
   core::AutoSensOptions options;
-  options.threads = static_cast<std::size_t>(args.get_int("threads", 0));
+  options.threads = args.get_int<std::size_t>("threads", 0);
 
   const auto periods = core::alpha_by_period(slice, options);
   report::Table period_table({"period", "records", "mean alpha"});
@@ -632,22 +628,22 @@ int cmd_collect(const cli::Args& args) {
                             "rcvbuf"}));
   const std::string out = args.require("out");
   net::CollectorOptions options;
-  options.port = static_cast<std::uint16_t>(args.get_int("port", 0));
-  options.read_deadline_ms = static_cast<int>(args.get_int("read-deadline-ms", -1));
-  options.max_resync_bytes =
-      static_cast<std::size_t>(args.get_int("max-resync-bytes", 1 << 20));
-  options.shards = static_cast<std::size_t>(args.get_int("shards", 1));
+  options.port = args.get_int<std::uint16_t>("port", 0);
+  options.read_deadline_ms = args.get_int<int>("read-deadline-ms", -1, -1);
+  options.max_resync_bytes = args.get_int<std::size_t>("max-resync-bytes", 1 << 20);
+  options.shards = args.get_int<std::size_t>("shards", 1);
   options.transport = parse_transport(args);
   // UDP defaults to a large receive buffer (capped by net.core.rmem_max):
   // emitters send unpaced bursts, and the system default (~200 KB) drops
   // most of a burst before the collector ever sees it.
-  options.rcvbuf_bytes = static_cast<std::size_t>(args.get_int(
-      "rcvbuf", options.transport == net::Transport::kUdp ? (1 << 22) : 0));
+  options.rcvbuf_bytes =
+      args.get_int<int>("rcvbuf", options.transport == net::Transport::kUdp ? (1 << 22) : 0);
+  // Every flag is checked before the listener binds.
+  const auto expect = args.get_int<std::size_t>("expect", 1);
+  const auto timeout_ms = args.get_int<int>("timeout-ms", 30'000, -1);
   net::Collector collector(options);
   std::cout << "listening on 127.0.0.1:" << collector.port() << "\n" << std::flush;
-  const bool complete = collector.serve_until_goodbye(
-      static_cast<std::size_t>(args.get_int("expect", 1)),
-      static_cast<int>(args.get_int("timeout-ms", 30'000)));
+  const bool complete = collector.serve_until_goodbye(expect, timeout_ms);
   // Graceful degradation: on timeout, optionally checkpoint whatever arrived
   // to a separate path before (also) writing the main log, so a partial
   // collection is preserved and labelled as such.
@@ -688,8 +684,8 @@ int cmd_replay(const cli::Args& args) {
   replay_span.attr("records", static_cast<std::int64_t>(dataset.size()));
   if (parse_transport(args) == net::Transport::kUdp) {
     net::UdpEmitterOptions options;
-    options.batch_size = static_cast<std::size_t>(args.get_int("batch", 1024));
-    net::UdpEmitter emitter(static_cast<std::uint16_t>(args.get_int("port", 0)), options);
+    options.batch_size = args.get_int<std::size_t>("batch", 1024);
+    net::UdpEmitter emitter(args.get_int<std::uint16_t>("port", 0), options);
     for (std::size_t i = 0; i < dataset.size(); ++i) emitter.record(dataset[i]);
     emitter.close();
     std::cout << "replayed " << emitter.sent_records() << " records in "
@@ -698,16 +694,14 @@ int cmd_replay(const cli::Args& args) {
     return 0;
   }
   net::EmitterOptions options;
-  options.batch_size = static_cast<std::size_t>(args.get_int("batch", 1024));
-  options.retry.max_attempts = static_cast<std::size_t>(args.get_int("retries", 5));
-  options.retry.backoff_initial_ms =
-      static_cast<std::uint32_t>(args.get_int("backoff-ms", 1));
-  options.retry.backoff_max_ms =
-      static_cast<std::uint32_t>(args.get_int("backoff-max-ms", 1000));
+  options.batch_size = args.get_int<std::size_t>("batch", 1024);
+  options.retry.max_attempts = args.get_int<std::size_t>("retries", 5);
+  options.retry.backoff_initial_ms = args.get_int<std::uint32_t>("backoff-ms", 1);
+  options.retry.backoff_max_ms = args.get_int<std::uint32_t>("backoff-max-ms", 1000);
   options.on_give_up = args.has("drop-on-exhausted")
                            ? net::EmitterOptions::GiveUp::kDropFrame
                            : net::EmitterOptions::GiveUp::kThrow;
-  net::Emitter emitter(static_cast<std::uint16_t>(args.get_int("port", 0)), options);
+  net::Emitter emitter(args.get_int<std::uint16_t>("port", 0), options);
   for (std::size_t i = 0; i < dataset.size(); ++i) emitter.record(dataset[i]);
   emitter.close();
   std::cout << "replayed " << emitter.sent_records() << " records in "
@@ -729,13 +723,12 @@ int cmd_loadgen(const cli::Args& args) {
   // `collect --expect SESSIONS [--shards N] [--transport udp]`.
   args.allow_only(with_obs(
       {"port", "sessions", "records", "concurrency", "batch", "transport", "seed"}));
-  const auto port = static_cast<std::uint16_t>(args.get_int("port", 0));
-  const auto sessions = static_cast<std::size_t>(args.get_int("sessions", 64));
-  const auto per_session = static_cast<std::size_t>(args.get_int("records", 1024));
-  const auto concurrency =
-      std::min(sessions, static_cast<std::size_t>(args.get_int("concurrency", 16)));
-  const auto batch = static_cast<std::size_t>(args.get_int("batch", 256));
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
+  const auto port = args.get_int<std::uint16_t>("port", 0);
+  const auto sessions = args.get_int<std::size_t>("sessions", 64);
+  const auto per_session = args.get_int<std::size_t>("records", 1024);
+  const auto concurrency = std::min(sessions, args.get_int<std::size_t>("concurrency", 16));
+  const auto batch = args.get_int<std::size_t>("batch", 256);
+  const auto seed = args.get_int<std::uint64_t>("seed", 42);
   const bool udp = parse_transport(args) == net::Transport::kUdp;
   if (port == 0) throw std::invalid_argument("loadgen requires --port");
 
@@ -875,10 +868,8 @@ int cmd_store_build(const cli::Args& args) {
   const std::string in = args.require("in");
   const std::string out = args.require("out");
   telemetry::store::StoreOptions options;
-  options.partition_rows = static_cast<std::uint64_t>(
-      args.get_int("partition-rows", static_cast<std::int64_t>(options.partition_rows)));
-  options.block_rows =
-      static_cast<std::uint32_t>(args.get_int("block-rows", options.block_rows));
+  options.partition_rows = args.get_int<std::uint64_t>("partition-rows", options.partition_rows);
+  options.block_rows = args.get_int<std::uint32_t>("block-rows", options.block_rows);
   options.compress = !args.has("no-compress");
 
   obs::Span span("store_build");
@@ -935,8 +926,7 @@ int cmd_store_export(const cli::Args& args) {
   const auto store = telemetry::store::StoredDataset::open(args.require("in"));
   const std::string out = args.require("out");
   obs::Span span("store_export");
-  telemetry::store::export_binlog(store, out,
-                                  static_cast<std::size_t>(args.get_int("batch", 4096)));
+  telemetry::store::export_binlog(store, out, args.get_int<std::size_t>("batch", 4096));
   std::cout << "exported " << store.rows() << " rows to " << out << "\n";
   return 0;
 }
@@ -955,7 +945,7 @@ int cmd_store_analyze(const cli::Args& args) {
   stream.action = action_flag(args);
   stream.user_class = class_flag(args);
   stream.with_confidence = args.has("confidence");
-  stream.confidence.replicates = static_cast<std::size_t>(args.get_int("replicates", 50));
+  stream.confidence.replicates = args.get_int<std::size_t>("replicates", 50);
   stream.probe_latencies = {500.0, 750.0, 1000.0, 1500.0, 2000.0};
 
   obs::Span span("store_analyze");

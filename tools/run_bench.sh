@@ -11,7 +11,7 @@
 #                         replicate loop)
 #   BENCH_ingest.json   — the parallel zero-copy ingest engine (chunked
 #                         CSV/JSONL parse and the ASL2 columnar binlog load
-#                         vs the seed getline / ASL1-row paths)
+#                         at 1/2/4 threads)
 #   BENCH_kernels.json  — the SIMD analysis kernels (biased/unbiased histogram
 #                         fill, fused classify+fill, Savitzky–Golay FIR),
 #                         Arg(0)=scalar vs Arg(1)=dispatch, recorded with
@@ -19,10 +19,9 @@
 #                         (tools/check_bench_regression.py) can filter
 #                         scheduler spikes instead of gating on a raw mean
 #   BENCH_net.json      — the collector fan-in saturation sweep (records/s vs
-#                         session count, 1→10k): poll() baseline vs the
-#                         sharded epoll collector (1/2/4 shards) vs the
-#                         batched UDP transport, with per-repetition samples
-#                         on the gated 1k-session rows
+#                         session count, 1→10k): the sharded epoll collector
+#                         (1/2/4 shards) vs the batched UDP transport, with
+#                         per-repetition samples on the gated 1k-session rows
 #   BENCH_store.json    — the out-of-core ASL3 store: full-store streaming
 #                         scan (raw bytes/s through decode + CRC) and the
 #                         windowed analyze wall-clock, store-streamed (Arg 1)
@@ -104,8 +103,6 @@ run_filter 'ObsAnalyzeOverhead|ObsScrape' "$OBS_OUT"
 # The prechange_* context entries freeze the pre-columnar Release baseline
 # (AoS dataset, copying resample) measured on the same fig3-scale dataset,
 # so the before/after story travels with the JSON.
-# Arg(0) rows are the seed paths (getline / serial ASL1 decode), so the
-# before/after ratio is computable from the JSON alone.
 run_filter 'Ingest' "$INGEST_OUT"
 run_filter 'DatasetColumns|DayBlockResample|ConfidenceReplicates' "$COLUMNAR_OUT" \
   --benchmark_context=prechange_analyze_once_ms=64.9 \
