@@ -44,14 +44,15 @@ stats::Histogram TimeNormalizer::normalized_biased(telemetry::SampleColumns colu
   return Accumulator::fill(columns, ClassGrid::kSlot, options_).biased(slots_);
 }
 
-std::vector<TimeWindow> period_windows(const telemetry::Dataset& dataset,
-                                       telemetry::DayPeriod period) {
+namespace {
+
+/// The daily windows of `period` clipped to [begin, end).
+std::vector<TimeWindow> period_windows_in(std::int64_t begin, std::int64_t end,
+                                          telemetry::DayPeriod period) {
   // Hour offsets of each period within a day; evening wraps past midnight.
   constexpr std::array<std::pair<int, int>, telemetry::kDayPeriodCount> kHours = {
       {{8, 14}, {14, 20}, {20, 26}, {2, 8}}};
   const auto [from, to] = kHours[static_cast<std::size_t>(period)];
-  const std::int64_t begin = dataset.begin_time();
-  const std::int64_t end = dataset.end_time();
   std::vector<TimeWindow> windows;
   for (std::int64_t day = telemetry::day_index(begin) - 1;
        day * telemetry::kMillisPerDay < end; ++day) {
@@ -62,6 +63,18 @@ std::vector<TimeWindow> period_windows(const telemetry::Dataset& dataset,
     if (w.end_ms > w.begin_ms) windows.push_back(w);
   }
   return windows;
+}
+
+}  // namespace
+
+std::vector<TimeWindow> period_windows(const telemetry::Dataset& dataset,
+                                       telemetry::DayPeriod period) {
+  return period_windows_in(dataset.begin_time(), dataset.end_time(), period);
+}
+
+std::vector<TimeWindow> period_windows(telemetry::SampleColumns columns,
+                                       telemetry::DayPeriod period) {
+  return period_windows_in(columns.begin_time(), columns.end_time(), period);
 }
 
 std::array<PeriodAlpha, telemetry::kDayPeriodCount> alpha_by_period(

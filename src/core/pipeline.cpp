@@ -89,15 +89,31 @@ PreferenceResult analyze(const telemetry::DatasetView& view, const AutoSensOptio
   return analyze_detailed(view, options).preference;
 }
 
+AnalysisResult analyze_detailed(telemetry::SampleColumns columns,
+                                const AutoSensOptions& options) {
+  if (columns.empty()) throw std::invalid_argument("analyze: empty dataset");
+  return analyze_columns(columns, {}, options);
+}
+
+PreferenceResult analyze(telemetry::SampleColumns columns, const AutoSensOptions& options) {
+  return analyze_detailed(columns, options).preference;
+}
+
 AnalysisResult analyze_over_windows(const telemetry::Dataset& dataset,
                                     std::span<const TimeWindow> windows,
                                     const AutoSensOptions& options) {
-  if (dataset.empty()) throw std::invalid_argument("analyze_over_windows: empty dataset");
   if (!dataset.is_sorted()) {
     throw std::invalid_argument("analyze_over_windows: dataset not sorted");
   }
+  return analyze_over_windows(dataset.columns(), windows, options);
+}
+
+AnalysisResult analyze_over_windows(telemetry::SampleColumns columns,
+                                    std::span<const TimeWindow> windows,
+                                    const AutoSensOptions& options) {
+  if (columns.empty()) throw std::invalid_argument("analyze_over_windows: empty dataset");
   if (windows.empty()) throw std::invalid_argument("analyze_over_windows: no windows");
-  return analyze_columns(dataset.columns(), windows, options);
+  return analyze_columns(columns, windows, options);
 }
 
 }  // namespace autosens::core

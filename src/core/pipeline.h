@@ -33,12 +33,25 @@ AnalysisResult analyze_detailed(const telemetry::DatasetView& view,
                                 const AutoSensOptions& options);
 PreferenceResult analyze(const telemetry::DatasetView& view, const AutoSensOptions& options);
 
+/// Run AutoSens on bare time/latency columns — the rows a select pass kept
+/// (telemetry/select.h) — without a Dataset around them. Byte-identical to
+/// analyze_detailed on a Dataset holding the same rows. Throws
+/// std::invalid_argument on empty columns, on times that go backwards (the
+/// accumulator's fill checks as it goes) or an unsupported reference
+/// latency.
+AnalysisResult analyze_detailed(telemetry::SampleColumns columns, const AutoSensOptions& options);
+PreferenceResult analyze(telemetry::SampleColumns columns, const AutoSensOptions& options);
+
 /// Run AutoSens on a dataset observed only during `windows` (sorted,
 /// disjoint) — e.g. the daily 6-hour chunks of a time-of-day slice (§3.6).
 /// The unbiased distribution is estimated within each window to avoid the
 /// huge artificial Voronoi cells a gap would create; α still conditions on
 /// the time-of-day grid over the dataset's own range.
 AnalysisResult analyze_over_windows(const telemetry::Dataset& dataset,
+                                    std::span<const TimeWindow> windows,
+                                    const AutoSensOptions& options);
+/// The same over bare time/latency columns (unsorted times throw).
+AnalysisResult analyze_over_windows(telemetry::SampleColumns columns,
                                     std::span<const TimeWindow> windows,
                                     const AutoSensOptions& options);
 

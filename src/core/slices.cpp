@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "core/parallel.h"
+#include "telemetry/select.h"
 
 namespace autosens::core {
 namespace {
@@ -19,20 +20,24 @@ struct Slice {
   telemetry::RecordFilter filter;
 };
 
-/// Filter and analyze every slice (possibly in parallel — each slice filters
-/// and analyzes independently) and keep the curves in slice order.
-/// `analyze_slice(i, sliced)` returns slice i's curve; empty slices, and those
-/// it rejects with std::invalid_argument (too little support), are skipped.
+/// Select and analyze every slice (possibly in parallel — each slice selects
+/// and analyzes independently) and keep the curves in slice order. A slice
+/// copies only the time and latency of its rows: `analyze_slice(i, columns)`
+/// returns slice i's curve; empty slices, and those it rejects with
+/// std::invalid_argument (too little support), are skipped.
 template <typename AnalyzeSlice>
 std::vector<NamedPreference> analyze_slices(const Dataset& dataset,
                                             const std::vector<Slice>& slices, std::size_t threads,
                                             const AnalyzeSlice& analyze_slice) {
   std::vector<std::optional<NamedPreference>> results(slices.size());
   parallel_for_items(slices.size(), threads, [&](std::size_t i) {
-    const auto sliced = dataset.filtered(slices[i].filter);
+    telemetry::SampleBuffer sliced;
+    telemetry::RowSelector selector(slices[i].filter);
+    sliced.append(dataset.row_columns(), selector);
     if (sliced.empty()) return;
     try {
-      results[i] = NamedPreference{slices[i].name, analyze_slice(i, sliced), sliced.size()};
+      results[i] =
+          NamedPreference{slices[i].name, analyze_slice(i, sliced.columns()), sliced.size()};
     } catch (const std::invalid_argument&) {
       // Not enough support for this slice; callers see it as absent.
     }
@@ -48,9 +53,10 @@ std::vector<NamedPreference> analyze_slices(const Dataset& dataset,
 std::vector<NamedPreference> analyze_slices(const Dataset& dataset,
                                             const std::vector<Slice>& slices,
                                             const AutoSensOptions& options) {
-  return analyze_slices(dataset, slices, options.threads, [&](std::size_t, const Dataset& sliced) {
-    return analyze(sliced, options);
-  });
+  return analyze_slices(dataset, slices, options.threads,
+                        [&](std::size_t, telemetry::SampleColumns sliced) {
+                          return analyze(sliced, options);
+                        });
 }
 
 }  // namespace
@@ -114,7 +120,7 @@ std::vector<NamedPreference> preference_by_period(const Dataset& dataset,
   }
   // Each period is analyzed over its own daily windows.
   return analyze_slices(dataset, slices, options.threads,
-                        [&](std::size_t p, const Dataset& sliced) {
+                        [&](std::size_t p, telemetry::SampleColumns sliced) {
                           const auto period = static_cast<telemetry::DayPeriod>(p);
                           const auto windows = period_windows(sliced, period);
                           return analyze_over_windows(sliced, windows, options).preference;

@@ -1,15 +1,27 @@
 // Windowed AutoSens over an ASL3 store (DESIGN.md §6e): tile the store's
-// time range into analysis windows and run the batch pipeline on each,
-// materializing only the partitions (and blocks) a window overlaps. Peak
-// memory is O(window), independent of store size — the out-of-core path for
-// datasets larger than RAM.
+// time range into analysis windows and analyze each one, reading only the
+// partitions (and blocks) a window overlaps. Peak memory is O(window),
+// independent of store size — the out-of-core path for datasets larger than
+// RAM.
+//
+// A window is never built as a six-column Dataset. One fused select pass
+// (telemetry/select.h) runs over each overlapping partition's exact row
+// range, straight off the partition read: it scrubs, applies the slice
+// filter and appends only the kept rows' time and latency to one buffer all
+// windows reuse, which the estimators then read. A partition whose footer
+// counts hold no row of the requested (action, user_class) slice is pruned
+// without being opened. Every opened block of every column is still
+// CRC-checked and decoded — the compressed user column too, though no
+// selection reads it, so it is decoded block by block and not kept.
+// Confidence windows gather the selected rows' six columns into a Dataset,
+// because the bootstrap resamples one.
 //
 // Equivalence contract: each window's result is byte-identical to running
-// analyze()/analyze_with_confidence() on the same rows filtered out of a
-// fully in-memory Dataset, because the window IS a Dataset once loaded —
-// same estimators, same memoized Voronoi weights, same bootstrap draws
-// (confidence replicates reseed per window and resample only the window's
-// days, so they never touch partitions outside it).
+// analyze()/analyze_with_confidence() on the same rows cut out of a fully
+// in-memory Dataset, scrubbed with telemetry::validate and sliced with
+// Dataset::filtered — the same rows in the same order reach the same
+// estimators, and confidence replicates reseed per window and resample only
+// the window's days, so they never touch partitions outside it.
 #pragma once
 
 #include <cstdint>
@@ -31,13 +43,14 @@ namespace autosens::core {
 struct StoreStreamOptions {
   /// Window width; windows tile [min_time, max_time] from min_time.
   std::int64_t window_ms = 7 * telemetry::kMillisPerDay;
-  /// Scrub each window with telemetry::validate before analysis (the same
-  /// record-local policy the batch CLI applies up front, so per-window
-  /// scrubbing equals scrubbing the whole dataset first). Stores built from
-  /// already-validated data can turn this off to skip the copy.
+  /// Scrub each window's rows with the telemetry::validate rule, in the same
+  /// pass that applies the slice filters (a record-local rule, so per-window
+  /// scrubbing equals scrubbing the whole dataset first). Drops go to the
+  /// autosens_validate_* counters. Off analyzes every stored row as is.
   bool scrub = true;
   telemetry::ValidationOptions validation;
-  /// Optional slice filters applied to each window before analysis.
+  /// Optional slice filters applied to each window before analysis; they
+  /// also prune partitions whose footer counts hold none of the slice.
   std::optional<telemetry::ActionType> action;
   std::optional<telemetry::UserClass> user_class;
   /// Attach day-block bootstrap intervals per window. Each window gets a
@@ -56,6 +69,8 @@ struct StoreWindowResult {
   std::int64_t end_ms = 0;
   std::size_t records = 0;  ///< Rows analyzed (after slice filters).
   std::size_t partitions_scanned = 0;
+  /// Partitions skipped by time range or by footer slice counts; with
+  /// partitions_scanned it accounts for every partition.
   std::size_t partitions_pruned = 0;
   std::uint64_t bytes_read = 0;  ///< Stored bytes consumed from disk.
   std::optional<PreferenceResult> preference;
@@ -63,6 +78,11 @@ struct StoreWindowResult {
 };
 
 /// Stream window results in time order through `sink` — O(window) memory.
+/// Windows tile [min_time, max_time] from min_time; a window end that would
+/// pass INT64_MAX is clamped there, so window_ms = INT64_MAX yields one window
+/// holding the whole store. Each window runs under a `store.window` trace
+/// span (partitions scanned and pruned, bytes read, rows selected) with a
+/// `store.select` child for the scan.
 void analyze_store_windows(const telemetry::store::StoredDataset& store,
                            const AutoSensOptions& options, const StoreStreamOptions& stream,
                            const std::function<void(const StoreWindowResult&)>& sink);

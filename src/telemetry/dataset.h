@@ -44,6 +44,31 @@ struct SampleColumns {
   }
 };
 
+/// Non-owning view of all six columns of a row range — a Dataset's rows or a
+/// store partition's rows — for the row-selection passes (RecordFilter,
+/// telemetry/select.h). Every span has size() elements, except that a
+/// column no selection term reads may be left empty (the store leaves its
+/// compressed user column empty when no term reads it).
+struct RowColumns {
+  std::span<const std::int64_t> times;
+  std::span<const double> latencies;
+  std::span<const std::uint64_t> user_ids;
+  std::span<const ActionType> actions;
+  std::span<const UserClass> user_classes;
+  std::span<const ActionStatus> statuses;
+
+  std::size_t size() const noexcept { return times.size(); }
+  /// Rows [offset, offset + count); an empty user column stays empty.
+  RowColumns slice(std::size_t offset, std::size_t count) const {
+    return {times.subspan(offset, count),
+            latencies.subspan(offset, count),
+            user_ids.empty() ? user_ids : user_ids.subspan(offset, count),
+            actions.subspan(offset, count),
+            user_classes.subspan(offset, count),
+            statuses.subspan(offset, count)};
+  }
+};
+
 class Dataset {
  public:
   Dataset() = default;
@@ -105,6 +130,10 @@ class Dataset {
   std::span<const ActionStatus> statuses() const noexcept { return status_; }
   /// The analysis-plane view (same lifetime rules as the column spans).
   SampleColumns columns() const noexcept { return {time_ms_, latency_ms_}; }
+  /// All six columns (same lifetime rules as the column spans).
+  RowColumns row_columns() const noexcept {
+    return {time_ms_, latency_ms_, user_id_, action_, user_class_, status_};
+  }
 
   /// Rows rows[0], rows[1], ... of this dataset (repeats and any order
   /// allowed) copied column by column; the sorted flag reflects the gathered

@@ -4,33 +4,57 @@
 #include <iterator>
 #include <numeric>
 #include <stdexcept>
+#include <type_traits>
 
 #include "stats/descriptive.h"
 
 namespace autosens::telemetry {
 namespace {
 
-// Each term reads one column (column_of) and tests one value of it (keeps).
-std::span<const ActionType> column_of(const Dataset& d, ActionType) { return d.actions(); }
-std::span<const UserClass> column_of(const Dataset& d, UserClass) { return d.user_classes(); }
-std::span<const std::uint64_t> column_of(const Dataset& d, const RecordFilter::Quartile&) {
-  return d.user_ids();
-}
-std::span<const std::int64_t> column_of(const Dataset& d, const auto&) { return d.times(); }
-
-bool keeps(ActionType term, ActionType action) { return action == term; }
-bool keeps(UserClass term, UserClass user_class) { return user_class == term; }
-bool keeps(DayPeriod term, std::int64_t t) { return day_period(t) == term; }
-bool keeps(RecordFilter::Month term, std::int64_t t) { return month_index(t) == term.index; }
-bool keeps(RecordFilter::TimeRange term, std::int64_t t) {
-  return t >= term.begin_ms && t < term.end_ms;
-}
-bool keeps(const RecordFilter::Quartile& term, std::uint64_t user) {
-  const auto it = term.table->find(user);
-  return it != term.table->end() && it->second == term.q;
-}
+std::uint64_t bit(unsigned value) { return value < 64 ? std::uint64_t{1} << value : 0; }
 
 }  // namespace
+
+RowMatcher::RowMatcher(const RecordFilter& filter) {
+  for (const auto& term : filter.terms) {
+    std::visit(
+        [&]<typename T>(const T& t) {
+          if constexpr (std::is_same_v<T, ActionType>) {
+            actions_ &= bit(static_cast<unsigned>(t));
+          } else if constexpr (std::is_same_v<T, UserClass>) {
+            classes_ &= bit(static_cast<unsigned>(t));
+          } else if constexpr (std::is_same_v<T, DayPeriod>) {
+            periods_ &= bit(static_cast<unsigned>(t));
+          } else if constexpr (std::is_same_v<T, RecordFilter::Month>) {
+            months_.push_back(t.index);
+          } else if constexpr (std::is_same_v<T, RecordFilter::TimeRange>) {
+            range_ = range_ ? RecordFilter::TimeRange{std::max(range_->begin_ms, t.begin_ms),
+                                                      std::min(range_->end_ms, t.end_ms)}
+                            : t;
+          } else {
+            quartiles_.push_back(t);
+          }
+        },
+        term);
+  }
+  has_row_terms_ = range_ || periods_ != kAll || !months_.empty() || !quartiles_.empty();
+}
+
+bool RowMatcher::row_terms(const RowColumns& rows, std::size_t i) const {
+  const std::int64_t t = rows.times[i];
+  if (range_ && (t < range_->begin_ms || t >= range_->end_ms)) return false;
+  if (periods_ != kAll && !in_mask(periods_, static_cast<unsigned>(day_period(t)))) {
+    return false;
+  }
+  for (const std::int64_t m : months_) {
+    if (month_index(t) != m) return false;
+  }
+  for (const auto& q : quartiles_) {
+    const auto it = q.table->find(rows.user_ids[i]);
+    if (it == q.table->end() || it->second != q.q) return false;
+  }
+  return true;
+}
 
 std::vector<std::size_t> RecordFilter::rows(const Dataset& dataset) const {
   std::vector<std::size_t> rows;
@@ -39,22 +63,11 @@ std::vector<std::size_t> RecordFilter::rows(const Dataset& dataset) const {
     std::iota(rows.begin(), rows.end(), std::size_t{0});
     return rows;
   }
-  // The first term scans its column into `rows`; each later term drops the
-  // rows it rejects, keeping the survivors' order.
-  for (std::size_t k = 0; k < terms.size(); ++k) {
-    std::visit(
-        [&](const auto& term) {
-          const auto column = column_of(dataset, term);
-          if (k == 0) {
-            rows.reserve(column.size());  // Untouched capacity costs no memory.
-            for (std::size_t i = 0; i < column.size(); ++i) {
-              if (keeps(term, column[i])) rows.push_back(i);
-            }
-          } else {
-            std::erase_if(rows, [&](std::size_t i) { return !keeps(term, column[i]); });
-          }
-        },
-        terms[k]);
+  const RowMatcher match(*this);
+  const RowColumns columns = dataset.row_columns();
+  rows.reserve(columns.size());  // Untouched capacity costs no memory.
+  for (std::size_t i = 0; i < columns.size(); ++i) {
+    if (match(columns, i)) rows.push_back(i);
   }
   return rows;
 }

@@ -3,12 +3,15 @@
 // month (§3.7) and time range. A RecordFilter is a plain value, a
 // conjunction of column terms; each term reads one column span of a Dataset,
 // so selection never assembles an ActionRecord or calls a type-erased
-// predicate. Dataset::filtered(filter) is gather(filter.rows(dataset)).
+// predicate. A RowMatcher compiles the terms for row-at-a-time tests, which
+// both rows() and the fused select pass (telemetry/select.h) run.
+// Dataset::filtered(filter) is gather(filter.rows(dataset)).
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <variant>
 #include <vector>
@@ -39,6 +42,43 @@ struct RecordFilter {
 
 /// Logical AND of filters; all_of({}) keeps every row.
 RecordFilter all_of(std::vector<RecordFilter> filters);
+
+/// A RecordFilter compiled for row-at-a-time tests. Action, class and period
+/// terms fold into bit masks and time-range terms into one interval, so a
+/// conjunction of same-kind terms intersects (two different actions match
+/// nothing), exactly as testing every term in turn would.
+class RowMatcher {
+ public:
+  explicit RowMatcher(const RecordFilter& filter);
+
+  /// Whether a term reads the user column (a quartile term does).
+  bool reads_user_ids() const noexcept { return !quartiles_.empty(); }
+
+  /// Row i of `rows` passes every term.
+  bool operator()(const RowColumns& rows, std::size_t i) const {
+    // `&`, not `&&`: a slice keeps rows at random, so branching on the
+    // enum tests would mispredict about as often as it predicts.
+    const bool enums = in_mask(actions_, static_cast<unsigned>(rows.actions[i])) &
+                       in_mask(classes_, static_cast<unsigned>(rows.user_classes[i]));
+    return has_row_terms_ ? enums && row_terms(rows, i) : enums;
+  }
+
+ private:
+  static constexpr std::uint64_t kAll = ~std::uint64_t{0};
+  static bool in_mask(std::uint64_t mask, unsigned value) noexcept {
+    return value < 64 ? ((mask >> value) & 1u) != 0 : mask == kAll;
+  }
+  /// The terms beyond the enum masks: time range, period, month, quartile.
+  bool row_terms(const RowColumns& rows, std::size_t i) const;
+
+  std::uint64_t actions_ = kAll;
+  std::uint64_t classes_ = kAll;
+  std::uint64_t periods_ = kAll;
+  std::optional<RecordFilter::TimeRange> range_;
+  std::vector<std::int64_t> months_;
+  std::vector<RecordFilter::Quartile> quartiles_;
+  bool has_row_terms_ = false;
+};
 
 inline RecordFilter by_action(ActionType type) { return RecordFilter(type); }
 inline RecordFilter by_user_class(UserClass user_class) { return RecordFilter(user_class); }

@@ -174,6 +174,20 @@ PartitionFooter decode_footer(std::span<const std::uint8_t> data) {
   if (expect_blocks != blocks) {
     throw std::runtime_error("store footer: block count does not match row count");
   }
+  // Window scans prune partitions on these counts, so they must account for
+  // every row (summed without wrapping: the counts are untrusted).
+  std::uint64_t slice_total = 0;
+  for (const auto& per_action : footer.slice_rows) {
+    for (const std::uint64_t rows : per_action) {
+      if (rows > footer.rows - slice_total) {
+        throw std::runtime_error("store footer: slice row counts exceed row count");
+      }
+      slice_total += rows;
+    }
+  }
+  if (slice_total != footer.rows) {
+    throw std::runtime_error("store footer: slice row counts do not sum to row count");
+  }
   return footer;
 }
 

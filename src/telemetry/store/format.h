@@ -31,6 +31,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -125,6 +126,20 @@ struct PartitionFooter {
   std::array<ColumnMeta, kColumnCount> columns;
 
   std::size_t block_count() const noexcept { return blocks.size(); }
+  /// Rows of one action (all actions when unset) and one user class (all
+  /// classes when unset).
+  std::uint64_t slice_row_count(std::optional<ActionType> action,
+                                std::optional<UserClass> user_class) const noexcept {
+    std::uint64_t total = 0;
+    for (std::size_t a = 0; a < slice_rows.size(); ++a) {
+      if (action && static_cast<std::size_t>(*action) != a) continue;
+      for (std::size_t c = 0; c < slice_rows[a].size(); ++c) {
+        if (user_class && static_cast<std::size_t>(*user_class) != c) continue;
+        total += slice_rows[a][c];
+      }
+    }
+    return total;
+  }
   std::uint64_t raw_bytes() const noexcept { return rows * kRowBytes; }
   std::uint64_t stored_bytes() const noexcept {
     std::uint64_t total = 0;

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "obs/metrics.h"
+#include "stats/scratch.h"
 #include "telemetry/binlog.h"
 #include "telemetry/store/codec.h"
 #include "telemetry/store/footer.h"
@@ -26,7 +27,7 @@ struct ReaderMetrics {
             "Partitions overlapping a window (opened for reading)")),
         partitions_pruned(obs::registry().counter(
             "autosens_store_partitions_pruned_total",
-            "Partitions skipped by the manifest time-range test")),
+            "Partitions skipped by the manifest time range or footer slice counts")),
         bytes_read(obs::registry().counter("autosens_store_read_bytes_total",
                                            "Stored bytes CRC-checked and consumed by reads")),
         bytes_mapped(obs::registry().counter("autosens_store_mapped_bytes_total",
@@ -155,7 +156,7 @@ PartitionData StoredDataset::read_partition(std::size_t i) const {
 }
 
 PartitionData StoredDataset::read_rows(std::size_t i, std::size_t row_begin,
-                                       std::size_t row_end) const {
+                                       std::size_t row_end, UserIds user_ids) const {
   const PartitionFooter& footer = footers_.at(i);
   const PartitionInfo& info = manifest_[i];
   PartitionData out;
@@ -226,10 +227,18 @@ PartitionData StoredDataset::read_rows(std::size_t i, std::size_t row_begin,
           each_block([&](auto slice, std::size_t at, std::size_t n) {
             codec::decode_delta_i64(slice, {out.owned_times_.data() + at, n});
           });
-        } else if (meta.codec == ColumnCodec::kDeltaVarint && id == ColumnId::kUserId) {
+        } else if (meta.codec == ColumnCodec::kDeltaVarint && id == ColumnId::kUserId &&
+                   user_ids == UserIds::kMaterialize) {
           out.owned_user_ids_.resize(decode_rows);
           each_block([&](auto slice, std::size_t at, std::size_t n) {
             codec::decode_delta_u64(slice, {out.owned_user_ids_.data() + at, n});
+          });
+        } else if (meta.codec == ColumnCodec::kDeltaVarint && id == ColumnId::kUserId) {
+          // Checked, not kept: every block still decodes (so corrupt bytes
+          // throw exactly as above), each into the same block buffer.
+          stats::PooledVector<std::uint64_t> block(block_rows);
+          each_block([&](auto slice, std::size_t, std::size_t n) {
+            codec::decode_delta_u64(slice, {block.data(), n});
           });
         } else if (meta.codec == ColumnCodec::kRle && c >= 3) {
           auto& owned = out.owned_bytes_[c - 3];
@@ -265,6 +274,7 @@ PartitionData StoredDataset::read_rows(std::size_t i, std::size_t row_begin,
         out.latencies_ = std::span<const double>(reinterpret_cast<const double*>(raw), count);
         break;
       case ColumnId::kUserId:
+        if (user_ids == UserIds::kCheckOnly) break;
         out.user_ids_ = raw != nullptr
                             ? std::span<const std::uint64_t>(
                                   reinterpret_cast<const std::uint64_t*>(raw), count)
@@ -327,17 +337,21 @@ PartitionData StoredDataset::read_rows(std::size_t i, std::size_t row_begin,
   return out;
 }
 
-StoredDataset::WindowLoad StoredDataset::load_window(std::int64_t begin_ms,
-                                                     std::int64_t end_ms) const {
-  WindowLoad out;
+StoredDataset::WindowScan StoredDataset::scan_window(
+    std::int64_t begin_ms, std::int64_t end_ms, std::optional<ActionType> action,
+    std::optional<UserClass> user_class, UserIds user_ids,
+    const std::function<void(const RowColumns&)>& visit) const {
+  WindowScan out;
+  const bool sliced = action.has_value() || user_class.has_value();
   for (std::size_t i = 0; i < manifest_.size(); ++i) {
     const PartitionInfo& p = manifest_[i];
-    if (!(p.min_time_ms < end_ms && p.max_time_ms >= begin_ms)) {
+    const PartitionFooter& footer = footers_[i];
+    if (!(p.min_time_ms < end_ms && p.max_time_ms >= begin_ms) ||
+        (sliced && footer.slice_row_count(action, user_class) == 0)) {
       ++out.partitions_pruned;
       continue;
     }
     ++out.partitions_scanned;
-    const PartitionFooter& footer = footers_[i];
     // Trim to the blocks whose time range overlaps the window.
     const std::size_t blocks = footer.block_count();
     std::size_t b0 = 0;
@@ -348,7 +362,7 @@ StoredDataset::WindowLoad StoredDataset::load_window(std::int64_t begin_ms,
     const std::size_t row_begin = b0 * footer.block_rows;
     const std::size_t row_end = std::min<std::size_t>(
         footer.rows, b1 * static_cast<std::size_t>(footer.block_rows));
-    const PartitionData part = read_rows(i, row_begin, row_end);
+    const PartitionData part = read_rows(i, row_begin, row_end, user_ids);
     out.bytes_read += part.bytes_read();
     // Exact trim: the decoded times are sorted.
     const auto times = part.times();
@@ -356,16 +370,23 @@ StoredDataset::WindowLoad StoredDataset::load_window(std::int64_t begin_ms,
         std::lower_bound(times.begin(), times.end(), begin_ms) - times.begin());
     const std::size_t hi = static_cast<std::size_t>(
         std::lower_bound(times.begin(), times.end(), end_ms) - times.begin());
-    if (lo >= hi) continue;
-    const std::size_t n = hi - lo;
-    out.dataset.append_columns(times.subspan(lo, n), part.latencies().subspan(lo, n),
-                               part.user_ids().subspan(lo, n), part.actions().subspan(lo, n),
-                               part.user_classes().subspan(lo, n),
-                               part.statuses().subspan(lo, n));
+    if (lo < hi) visit(part.row_columns().slice(lo, hi - lo));
   }
   ReaderMetrics& metrics = reader_metrics();
   metrics.partitions_scanned.inc(out.partitions_scanned);
   metrics.partitions_pruned.inc(out.partitions_pruned);
+  return out;
+}
+
+StoredDataset::WindowLoad StoredDataset::load_window(std::int64_t begin_ms,
+                                                     std::int64_t end_ms) const {
+  WindowLoad out;
+  const auto append = [&](const RowColumns& rows) {
+    out.dataset.append_columns(rows.times, rows.latencies, rows.user_ids, rows.actions,
+                               rows.user_classes, rows.statuses);
+  };
+  static_cast<WindowScan&>(out) = scan_window(begin_ms, end_ms, std::nullopt, std::nullopt,
+                                              UserIds::kMaterialize, append);
   return out;
 }
 

@@ -13,6 +13,8 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <functional>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -36,6 +38,9 @@ class PartitionData {
   std::span<const UserClass> user_classes() const noexcept { return user_classes_; }
   std::span<const ActionStatus> statuses() const noexcept { return statuses_; }
   SampleColumns columns() const noexcept { return {times_, latencies_}; }
+  RowColumns row_columns() const noexcept {
+    return {times_, latencies_, user_ids_, actions_, user_classes_, statuses_};
+  }
 
   /// Stored (on-disk) bytes CRC-checked and consumed by this read.
   std::uint64_t bytes_read() const noexcept { return bytes_read_; }
@@ -82,21 +87,44 @@ class StoredDataset {
 
   /// Materialize one whole partition (CRC-verified; raw columns zero-copy).
   PartitionData read_partition(std::size_t i) const;
+  /// Whether a read hands out the user column. Either way every block of all
+  /// six columns in the range is CRC-checked and decoded; kCheckOnly decodes
+  /// a compressed user column block by block into one reused buffer and
+  /// leaves user_ids() empty, for readers no filter term needs it for.
+  enum class UserIds { kMaterialize, kCheckOnly };
+
   /// Materialize rows [row_begin, row_end) of partition i, touching only the
   /// blocks that cover the range.
-  PartitionData read_rows(std::size_t i, std::size_t row_begin, std::size_t row_end) const;
+  PartitionData read_rows(std::size_t i, std::size_t row_begin, std::size_t row_end,
+                          UserIds user_ids = UserIds::kMaterialize) const;
 
-  struct WindowLoad {
-    Dataset dataset;  ///< Sorted by construction (partitions tile time).
-    std::size_t partitions_scanned = 0;
-    std::size_t partitions_pruned = 0;
-    std::uint64_t bytes_read = 0;  ///< Stored bytes consumed.
+  /// What one window read touched.
+  struct WindowScan {
+    std::size_t partitions_scanned = 0;  ///< Opened and read.
+    std::size_t partitions_pruned = 0;   ///< Skipped without opening.
+    std::uint64_t bytes_read = 0;        ///< Stored bytes consumed.
   };
 
-  /// All rows with time in [begin_ms, end_ms) as an in-memory Dataset.
-  /// Partitions outside the window are pruned via the manifest; partitions
-  /// straddling a boundary are trimmed at block granularity, then exactly by
-  /// binary search on the decoded time column.
+  /// Hand `visit` the rows with time in [begin_ms, end_ms), one overlapping
+  /// partition at a time in time order, as spans into the partition read
+  /// (valid only during the call). Partitions outside the window are pruned
+  /// via the manifest, and so is any partition whose footer counts hold no
+  /// row of the (action, user_class) slice — an unset field matches every
+  /// value. Partitions straddling a boundary are trimmed at block
+  /// granularity, then exactly by binary search on the decoded time column.
+  /// The rows still need the slice filter: a partition that holds the slice
+  /// holds other rows too.
+  WindowScan scan_window(std::int64_t begin_ms, std::int64_t end_ms,
+                         std::optional<ActionType> action, std::optional<UserClass> user_class,
+                         UserIds user_ids,
+                         const std::function<void(const RowColumns&)>& visit) const;
+
+  struct WindowLoad : WindowScan {
+    Dataset dataset;  ///< Sorted by construction (partitions tile time).
+  };
+
+  /// All rows with time in [begin_ms, end_ms) as an in-memory Dataset
+  /// (scan_window with no slice, every column kept).
   WindowLoad load_window(std::int64_t begin_ms, std::int64_t end_ms) const;
 
   /// The whole store as a Dataset (must fit in memory — tests/conversion).

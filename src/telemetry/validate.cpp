@@ -3,6 +3,8 @@
 #include <sstream>
 
 #include "obs/metrics.h"
+#include "telemetry/filter.h"
+#include "telemetry/select.h"
 
 namespace autosens::telemetry {
 namespace {
@@ -75,54 +77,30 @@ std::string ValidationReport::one_line() const {
 
 ValidatedDataset validate(const Dataset& input, const ValidationOptions& options) {
   ValidatedDataset result;
-  result.report.total = input.size();
-  // Every check reads only time, latency, and status, so scan those columns
-  // directly, collect the survivors' indices, and gather them once.
-  const auto times = input.times();
-  const auto latencies = input.latencies();
-  const auto statuses = input.statuses();
-  std::vector<std::size_t> kept;
-  kept.reserve(times.size());
-  auto& report = result.report;
-  for (std::size_t i = 0; i < times.size(); ++i) {
-    switch (drop_reason(times[i], latencies[i], statuses[i], options)) {
-      case DropReason::kKept:
-        kept.push_back(i);
-        break;
-      case DropReason::kBadTimestamp:
-        ++report.dropped_bad_timestamp;
-        break;
-      case DropReason::kOutOfWindow:
-        ++report.dropped_out_of_window;
-        break;
-      case DropReason::kNonfiniteLatency:
-        ++report.dropped_nonfinite_latency;
-        break;
-      case DropReason::kErrorStatus:
-        ++report.dropped_error_status;
-        break;
-      case DropReason::kNonpositiveLatency:
-        ++report.dropped_nonpositive_latency;
-        break;
-      case DropReason::kExcessiveLatency:
-        ++report.dropped_excessive_latency;
-        break;
-    }
-  }
-  result.report.kept = kept.size();
-  result.dataset = input.gather(kept);
+  // Every check reads only time, latency and status; kept rows are copied
+  // as contiguous runs, one insert per run and column.
+  RowSelector selector(RecordFilter{}, options);
+  result.dataset.reserve(input.size());  // Untouched capacity costs no memory.
+  selector.for_each_kept_run(input.row_columns(), [&](const RowColumns& run) {
+    result.dataset.append_columns(run.times, run.latencies, run.user_ids, run.actions,
+                                  run.user_classes, run.statuses);
+  });
   result.dataset.sort_by_time();
-
-  auto& m = metrics();
-  m.total.inc(result.report.total);
-  m.kept.inc(result.report.kept);
-  m.error_status.inc(result.report.dropped_error_status);
-  m.nonpositive.inc(result.report.dropped_nonpositive_latency);
-  m.excessive.inc(result.report.dropped_excessive_latency);
-  m.nonfinite.inc(result.report.dropped_nonfinite_latency);
-  m.bad_timestamp.inc(result.report.dropped_bad_timestamp);
-  m.out_of_window.inc(result.report.dropped_out_of_window);
+  result.report = selector.report();
+  publish_validation_metrics(result.report);
   return result;
+}
+
+void publish_validation_metrics(const ValidationReport& report) {
+  auto& m = metrics();
+  m.total.inc(report.total);
+  m.kept.inc(report.kept);
+  m.error_status.inc(report.dropped_error_status);
+  m.nonpositive.inc(report.dropped_nonpositive_latency);
+  m.excessive.inc(report.dropped_excessive_latency);
+  m.nonfinite.inc(report.dropped_nonfinite_latency);
+  m.bad_timestamp.inc(report.dropped_bad_timestamp);
+  m.out_of_window.inc(report.dropped_out_of_window);
 }
 
 }  // namespace autosens::telemetry

@@ -69,6 +69,20 @@ struct ValidationReport {
   std::size_t dropped_out_of_window = 0;
 
   std::size_t dropped() const noexcept { return total - kept; }
+  /// Count one record's verdict; true when the record is kept.
+  bool tally(DropReason reason) noexcept {
+    ++total;
+    switch (reason) {
+      case DropReason::kKept: ++kept; return true;
+      case DropReason::kBadTimestamp: ++dropped_bad_timestamp; break;
+      case DropReason::kOutOfWindow: ++dropped_out_of_window; break;
+      case DropReason::kNonfiniteLatency: ++dropped_nonfinite_latency; break;
+      case DropReason::kErrorStatus: ++dropped_error_status; break;
+      case DropReason::kNonpositiveLatency: ++dropped_nonpositive_latency; break;
+      case DropReason::kExcessiveLatency: ++dropped_excessive_latency; break;
+    }
+    return false;
+  }
   std::string summary() const;
   /// Compact single-line form for end-of-run stderr reporting:
   /// `kept 120/128 (dropped: error-status 5, bad-timestamp 3)` — zero-count
@@ -83,5 +97,9 @@ struct ValidatedDataset {
 };
 
 ValidatedDataset validate(const Dataset& input, const ValidationOptions& options = {});
+
+/// Add a report's counts to the autosens_validate_* counters. validate()
+/// calls it; so does any pass that scrubs with drop_reason on its own.
+void publish_validation_metrics(const ValidationReport& report);
 
 }  // namespace autosens::telemetry

@@ -4,14 +4,19 @@
 #   1. `store build` spills a generated binlog into an ASL3 directory;
 #   2. `store info` must render the partition manifest table (per-partition
 #      rows/time range/compression) plus the summary line;
-#   3. `store analyze` streams windowed preference curves off the store;
-#   4. `store export` -> `store build` must reproduce every partition file
+#   3. `store analyze` streams windowed preference curves off the store; a
+#      --window-days that would overflow the window width is a named flag
+#      error, and the largest accepted one gives a single window;
+#   4. `store analyze --trace-out`: the per-window spans (store.window) must
+#      cover at least 90% of the top-level store_analyze span;
+#   5. `store export` -> `store build` must reproduce every partition file
 #      byte-for-byte (the round-trip golden property).
 #
-# Usage: cli_store_e2e.sh <autosens_cli>
+# Usage: cli_store_e2e.sh <autosens_cli> [python3]
 set -euo pipefail
 
 CLI="$1"
+PYTHON="${2:-python3}"
 WORK="$(mktemp -d)"
 cleanup() { rm -rf "$WORK"; }
 trap cleanup EXIT
@@ -58,6 +63,59 @@ grep -Eq '^[0-9]+ windows, ' "$WORK/analyze.out" || {
   cat "$WORK/analyze.out" >&2
   exit 1
 }
+
+# --window-days is range-checked so window_days * 1 day cannot wrap: past
+# INT64_MAX / 86400000 days it is an error, and at that bound the clamped
+# window holds the whole store.
+if "$CLI" store analyze --in "$WORK/store" --window-days 213503982335 \
+    > "$WORK/overflow.out" 2> "$WORK/overflow.err"; then
+  echo "FAIL: store analyze accepted --window-days 213503982335" >&2
+  cat "$WORK/overflow.out" >&2
+  exit 1
+fi
+grep -q 'flag --window-days must be in \[1, 106751991167\]' "$WORK/overflow.err" || {
+  echo "FAIL: overflowing --window-days did not name the flag and its range" >&2
+  cat "$WORK/overflow.err" >&2
+  exit 1
+}
+"$CLI" store analyze --in "$WORK/store" --window-days 106751991167 > "$WORK/huge.out"
+grep -Eq '^1 windows, ' "$WORK/huge.out" || {
+  echo "FAIL: the largest --window-days did not give one window" >&2
+  cat "$WORK/huge.out" >&2
+  exit 1
+}
+
+# Every window runs under a store.window span (store.select plus the
+# estimator spans inside), so the top-level span has no unexplained time.
+"$CLI" store analyze --in "$WORK/store" --action SelectMail --window-days 1 \
+    --trace-out "$WORK/trace.json" > /dev/null
+"$PYTHON" - "$WORK/trace.json" <<'PY'
+import json
+import sys
+
+events = [e for e in json.load(open(sys.argv[1]))["traceEvents"] if e.get("ph") == "X"]
+roots = [e for e in events if e["name"] == "store_analyze"]
+if len(roots) != 1:
+    sys.exit(f"FAIL: expected one store_analyze span, got {len(roots)}")
+root = roots[0]
+children = [e for e in events if e["args"].get("parent") == root["args"]["id"]]
+windows = [e for e in children if e["name"] == "store.window"]
+if not windows:
+    sys.exit("FAIL: store_analyze has no store.window spans")
+for window in windows:
+    for key in ("partitions_scanned", "partitions_pruned", "bytes_read", "rows_selected"):
+        if key not in window["args"]:
+            sys.exit(f"FAIL: store.window span lacks the {key} attribute")
+selects = [e for e in events
+           if e["name"] == "store.select" and e["args"].get("parent") in
+           {w["args"]["id"] for w in windows}]
+if len(selects) != len(windows):
+    sys.exit(f"FAIL: {len(selects)} store.select spans under {len(windows)} windows")
+coverage = sum(e["dur"] for e in children) / max(root["dur"], 1)
+if coverage < 0.9:
+    sys.exit(f"FAIL: child spans cover {coverage:.1%} of store_analyze (< 90%)")
+print(f"store_analyze span coverage {coverage:.1%} over {len(windows)} windows")
+PY
 
 # Round trip: export the store to a binlog, rebuild, compare byte-for-byte.
 "$CLI" store export --in "$WORK/store" --out "$WORK/back.bin" --batch 1000 \

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "simulate/generator.h"
 #include "simulate/presets.h"
 #include "telemetry/filter.h"
@@ -26,6 +30,23 @@ telemetry::Dataset select_mail_business(Scale scale, std::uint64_t seed) {
 
 TEST(PipelineTest, EmptyDatasetThrows) {
   EXPECT_THROW(analyze(telemetry::Dataset{}, AutoSensOptions{}), std::invalid_argument);
+}
+
+TEST(PipelineTest, SampleColumnsMatchDatasetAndRejectBadInput) {
+  // The select pass analyzes bare columns: same rows, same bits as the
+  // Dataset overload; empty or backwards-running times still throw.
+  const auto slice = select_mail_business(Scale::kTiny, 38);
+  const auto from_dataset = analyze_detailed(slice, AutoSensOptions{});
+  const auto from_columns = analyze_detailed(slice.columns(), AutoSensOptions{});
+  EXPECT_EQ(from_dataset.preference.normalized, from_columns.preference.normalized);
+  EXPECT_EQ(from_dataset.preference.raw_ratio, from_columns.preference.raw_ratio);
+  EXPECT_EQ(from_dataset.preference.biased_samples, from_columns.preference.biased_samples);
+  EXPECT_THROW(analyze(telemetry::SampleColumns{}, AutoSensOptions{}), std::invalid_argument);
+  std::vector<std::int64_t> times(slice.times().begin(), slice.times().end());
+  std::swap(times[times.size() / 2], times[times.size() / 2 + 1]);
+  if (times[times.size() / 2] == times[times.size() / 2 + 1]) times[times.size() / 2] += 1;
+  EXPECT_THROW(analyze(telemetry::SampleColumns{times, slice.latencies()}, AutoSensOptions{}),
+               std::invalid_argument);
 }
 
 TEST(PipelineTest, RecoveryOfPlantedPreferenceShape) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "simulate/generator.h"
 #include "simulate/presets.h"
 #include "telemetry/validate.h"
@@ -105,6 +108,68 @@ TEST_F(SlicesTest, ByMonthSplitsOnThirtyDayBoundaries) {
                                           ActionType::kSelectMail);
   ASSERT_EQ(curves.size(), 1u);
   EXPECT_EQ(curves[0].name, "Month1");
+}
+
+/// FNV-1a over every slice curve's name, record count and result bits.
+class CurveDigest {
+ public:
+  void add(const std::vector<NamedPreference>& curves) {
+    mix(curves.size());
+    for (const auto& curve : curves) {
+      for (const char c : curve.name) mix(static_cast<unsigned char>(c));
+      mix(curve.records);
+      const auto& r = curve.result;
+      for (const auto* column : {&r.latency_ms, &r.raw_ratio, &r.smoothed, &r.normalized}) {
+        mix(column->size());
+        for (const double v : *column) mix(std::bit_cast<std::uint64_t>(v));
+      }
+      for (const char v : r.valid) mix(static_cast<unsigned char>(v));
+      mix(std::bit_cast<std::uint64_t>(r.reference_latency_ms));
+      mix(r.biased_samples);
+      mix(r.support_begin);
+      mix(r.support_end);
+    }
+  }
+  std::uint64_t value() const noexcept { return hash_; }
+
+ private:
+  void mix(std::uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (value >> (8 * byte)) & 0xff;
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+// Every slice entry point over a seeded tiny dataset, digested. The digest
+// was frozen from the row-copying slice code (filtered Dataset per slice);
+// the two-column gather must reproduce it bit for bit at any thread count.
+TEST(SlicesDigestTest, AllSliceCurvesMatchFrozenDigest) {
+  const auto generated =
+      simulate::WorkloadGenerator(paper_config(Scale::kTiny, 23)).generate();
+  const auto dataset = telemetry::validate(generated.dataset).dataset;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    AutoSensOptions options;
+    options.threads = threads;
+    CurveDigest digest;
+    std::size_t curves = 0;
+    const auto add = [&](const std::vector<NamedPreference>& c) {
+      curves += c.size();
+      digest.add(c);
+    };
+    add(preference_by_action(dataset, options));
+    add(preference_by_action(dataset, options, UserClass::kConsumer));
+    add(preference_by_user_class(dataset, options, ActionType::kSelectMail));
+    add(preference_by_quartile(dataset, dataset, options, ActionType::kSelectMail));
+    add(preference_by_quartile(dataset, dataset, options, ActionType::kSearch,
+                               UserClass::kBusiness));
+    add(preference_by_period(dataset, options, ActionType::kSelectMail, UserClass::kConsumer));
+    add(preference_by_month(dataset, options, ActionType::kSwitchFolder));
+    EXPECT_EQ(curves, 23u) << "threads " << threads;
+    EXPECT_EQ(digest.value(), 0xb259caa1ad4a8b83ULL) << "threads " << threads << std::hex << " digest 0x"
+                                      << digest.value();
+  }
 }
 
 TEST_F(SlicesTest, EmptyDatasetYieldsNoCurves) {

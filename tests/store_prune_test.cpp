@@ -7,9 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -21,6 +24,7 @@
 #include "stats/rng.h"
 #include "telemetry/clock.h"
 #include "telemetry/filter.h"
+#include "telemetry/store/format.h"
 #include "telemetry/store/store.h"
 #include "telemetry/store/writer.h"
 #include "telemetry/validate.h"
@@ -91,6 +95,9 @@ void expect_bitwise_equal(const core::PreferenceResult& a, const core::Preferenc
   ASSERT_EQ(a.support_end, b.support_end);
   ASSERT_EQ(a.biased_samples, b.biased_samples);
 }
+
+/// Bit patterns of a value (NaN-safe equality for doubles).
+std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
 
 class StorePruneTest : public ::testing::Test {
  protected:
@@ -261,6 +268,231 @@ TEST_F(StorePruneTest, StreamedBiasedHistogramBitIdentical) {
   EXPECT_EQ(streamed.total_weight(), whole.total_weight());
   for (std::size_t i = 0; i < whole.size(); ++i) {
     EXPECT_EQ(streamed.count(i), whole.count(i)) << "bin " << i;
+  }
+}
+
+TEST_F(StorePruneTest, HugeWindowIsOneWindowOverTheWholeStore) {
+  // A store starting after time 0, so begin + window_ms overflows for the
+  // largest widths: the end clamps at INT64_MAX, the one window holds every
+  // row, and the loop stops after it.
+  const Dataset later = window_of(dataset_, kMillisPerDay, store().max_time_ms() + 1);
+  const auto dir = fresh_dir("store_huge_window");
+  build_store(later, dir.string(),
+              StoreOptions{.partition_rows = 700, .block_rows = 64, .compress = true});
+  const auto shifted = StoredDataset::open(dir.string());
+  ASSERT_GT(shifted.min_time_ms(), 0);
+  core::AutoSensOptions options;
+  options.threads = 1;
+  const Dataset scrubbed = telemetry::validate(later).dataset;
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  for (const std::int64_t window_ms : {kMax, kMax - shifted.min_time_ms() + 1}) {
+    core::StoreStreamOptions stream;
+    stream.window_ms = window_ms;
+    const auto results = core::analyze_store_windows(shifted, options, stream);
+    ASSERT_EQ(results.size(), 1u) << window_ms;
+    EXPECT_EQ(results[0].begin_ms, shifted.min_time_ms());
+    EXPECT_EQ(results[0].end_ms, kMax);
+    EXPECT_EQ(results[0].records, scrubbed.size());
+    EXPECT_EQ(results[0].partitions_scanned, shifted.partitions().size());
+    ASSERT_TRUE(results[0].preference.has_value());
+    expect_bitwise_equal(core::analyze(scrubbed, options), *results[0].preference);
+  }
+}
+
+/// Six days of rows with planted scrub drops — error status, latency <= 0,
+/// latency > 60 s and NaN — where day 2 holds only Search rows of Consumer
+/// users, so a SelectMail or a Business slice prunes day 2's partitions.
+Dataset planted_dataset() {
+  Dataset d;
+  std::uint64_t i = 0;
+  for (std::int64_t day = 0; day < 6; ++day) {
+    for (std::int64_t k = 0; k < 3000; ++k, ++i) {
+      double latency = 80.0 + static_cast<double>((i * 131) % 2600);
+      ActionStatus status = ActionStatus::kSuccess;
+      if (i % 53 == 0) status = ActionStatus::kError;
+      if (i % 59 == 1) latency = (i % 2 == 0) ? 0.0 : -5.0;
+      if (i % 61 == 2) latency = 75'000.0;
+      if (i % 67 == 3) latency = std::numeric_limits<double>::quiet_NaN();
+      d.add({.time_ms = day * kMillisPerDay + k * 28'000 + static_cast<std::int64_t>(i % 7),
+             .user_id = 500 + (i * 7) % 41,
+             .latency_ms = latency,
+             .action = day == 2 ? ActionType::kSearch
+                                : static_cast<ActionType>(i % telemetry::kActionTypeCount),
+             .user_class = day == 2 ? UserClass::kConsumer
+                                    : static_cast<UserClass>((i / 3) % telemetry::kUserClassCount),
+             .status = status});
+    }
+  }
+  d.sort_by_time();
+  return d;
+}
+
+class StoreSelectTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dataset_ = planted_dataset();
+    dir_ = fresh_dir("store_select");
+    build_store(dataset_, dir_.string(),
+                StoreOptions{.partition_rows = 1000, .block_rows = 128, .compress = true});
+    opened_ = StoredDataset::open(dir_.string());
+  }
+
+  const StoredDataset& store() const { return *opened_; }
+
+  Dataset dataset_;
+  std::filesystem::path dir_;
+  std::optional<StoredDataset> opened_;
+};
+
+// The select pushdown against the row-copying oracle: every window of every
+// filter × scrub × confidence × threads combination must report the same
+// records and the same preference and interval bits as cutting the window
+// out of the in-memory dataset, then validate → filtered → analyze.
+TEST_F(StoreSelectTest, WindowsMatchValidateFilterAnalyzeOracle) {
+  struct Filter {
+    std::optional<ActionType> action;
+    std::optional<UserClass> user_class;
+  };
+  const std::vector<Filter> filters = {{std::nullopt, std::nullopt},
+                                       {ActionType::kSelectMail, std::nullopt},
+                                       {std::nullopt, UserClass::kBusiness},
+                                       {ActionType::kSelectMail, UserClass::kConsumer}};
+  std::size_t slice_pruned = 0;
+  std::size_t curves = 0;
+  std::size_t intervals = 0;
+  for (const auto& filter : filters) {
+    for (const bool scrub : {true, false}) {
+      for (const bool with_confidence : {false, true}) {
+        for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+          core::AutoSensOptions options;
+          options.threads = threads;
+          core::StoreStreamOptions stream;
+          stream.window_ms = 3 * kMillisPerDay / 2;
+          stream.scrub = scrub;
+          stream.action = filter.action;
+          stream.user_class = filter.user_class;
+          stream.with_confidence = with_confidence;
+          stream.confidence.replicates = 5;
+          stream.probe_latencies = {500.0, 1000.0, 2000.0};
+          const std::string what = "action " + std::to_string(filter.action.has_value()) +
+                                   " class " + std::to_string(filter.user_class.has_value()) +
+                                   " scrub " + std::to_string(scrub) + " confidence " +
+                                   std::to_string(with_confidence) + " threads " +
+                                   std::to_string(threads);
+          const auto results = core::analyze_store_windows(store(), options, stream);
+          ASSERT_EQ(results.size(), 4u) << what;
+          for (const auto& w : results) {
+            const std::string at = what + " window " + std::to_string(w.begin_ms);
+            EXPECT_EQ(w.partitions_scanned + w.partitions_pruned, store().partitions().size())
+                << at;
+            const auto load = store().load_window(w.begin_ms, w.end_ms);
+            if (!filter.action && !filter.user_class) {
+              EXPECT_EQ(w.partitions_pruned, load.partitions_pruned) << at;
+            }
+            if (w.partitions_pruned == load.partitions_pruned) {
+              EXPECT_EQ(w.bytes_read, load.bytes_read) << at;
+            } else {
+              EXPECT_LT(w.bytes_read, load.bytes_read) << at;
+              slice_pruned += w.partitions_pruned - load.partitions_pruned;
+            }
+
+            Dataset expect = window_of(dataset_, w.begin_ms, w.end_ms);
+            if (scrub) expect = telemetry::validate(expect).dataset;
+            std::vector<telemetry::RecordFilter> terms;
+            if (filter.action) terms.push_back(telemetry::by_action(*filter.action));
+            if (filter.user_class) terms.push_back(telemetry::by_user_class(*filter.user_class));
+            if (!terms.empty()) expect = expect.filtered(telemetry::all_of(terms));
+            ASSERT_EQ(w.records, expect.size()) << at;
+
+            std::optional<core::PreferenceResult> point;
+            std::optional<core::PreferenceWithConfidence> confidence;
+            if (!expect.empty()) {
+              try {
+                if (with_confidence) {
+                  stats::Random random(stream.confidence_seed);
+                  confidence = core::analyze_with_confidence(
+                      expect, options, stream.probe_latencies, stream.confidence, random);
+                  point = confidence->point;
+                } else {
+                  point = core::analyze(expect, options);
+                }
+              } catch (const std::invalid_argument&) {
+              }
+            }
+            ASSERT_EQ(w.preference.has_value(), point.has_value()) << at;
+            ASSERT_EQ(w.confidence.has_value(), confidence.has_value()) << at;
+            if (!point) continue;
+            ++curves;
+            expect_bitwise_equal(*point, *w.preference);
+            if (!confidence) continue;
+            ASSERT_EQ(w.confidence->intervals.size(), confidence->intervals.size()) << at;
+            intervals += confidence->intervals.size();
+            for (std::size_t p = 0; p < confidence->intervals.size(); ++p) {
+              EXPECT_EQ(bits(w.confidence->intervals[p].lo), bits(confidence->intervals[p].lo))
+                  << at;
+              EXPECT_EQ(bits(w.confidence->intervals[p].hi), bits(confidence->intervals[p].hi))
+                  << at;
+            }
+            EXPECT_EQ(w.confidence->usable_replicates, confidence->usable_replicates) << at;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(slice_pruned, 0u) << "no partition was pruned by its footer slice counts";
+  EXPECT_GT(curves, 0u) << "no window produced a curve to compare";
+  EXPECT_GT(intervals, 0u) << "no window produced intervals to compare";
+}
+
+TEST_F(StoreSelectTest, PartitionWithoutTheSliceIsPrunedUnopened) {
+  // Day 2 holds no SelectMail row: its partitions are pruned, so a window
+  // over day 2 alone opens nothing and reads no bytes.
+  std::size_t day2 = 0;
+  for (const auto& p : store().partitions()) day2 += p.day == 2 ? 1 : 0;
+  ASSERT_GT(day2, 0u);
+  const auto window = store().scan_window(2 * kMillisPerDay, 3 * kMillisPerDay,
+                                          ActionType::kSelectMail, std::nullopt,
+                                          StoredDataset::UserIds::kCheckOnly,
+                                          [](const telemetry::RowColumns&) { FAIL(); });
+  EXPECT_EQ(window.partitions_scanned, 0u);
+  EXPECT_EQ(window.partitions_pruned, store().partitions().size());
+  EXPECT_EQ(window.bytes_read, 0u);
+  // The Search slice is there, so the same window scans day 2.
+  std::size_t rows = 0;
+  const auto search = store().scan_window(
+      2 * kMillisPerDay, 3 * kMillisPerDay, ActionType::kSearch, UserClass::kConsumer,
+      StoredDataset::UserIds::kCheckOnly, [&](const telemetry::RowColumns& part) {
+        EXPECT_TRUE(part.user_ids.empty());
+        rows += part.size();
+      });
+  EXPECT_EQ(search.partitions_scanned, day2);
+  EXPECT_EQ(rows, 3000u);
+}
+
+TEST_F(StoreSelectTest, CorruptUserColumnStillThrows) {
+  // No window selection reads the user column, but every block of it is
+  // still CRC-checked: one flipped byte fails the analysis.
+  const auto& first = store().partitions().front();
+  const auto path = dir_ / first.dir_name / "user.col";
+  {
+    std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+    file.seekg(static_cast<std::streamoff>(telemetry::store::kColumnHeaderBytes + 3));
+    char byte = 0;
+    file.read(&byte, 1);
+    byte = static_cast<char>(byte ^ 0x5a);
+    file.seekp(static_cast<std::streamoff>(telemetry::store::kColumnHeaderBytes + 3));
+    file.write(&byte, 1);
+  }
+  const auto corrupted = StoredDataset::open(dir_.string());
+  core::AutoSensOptions options;
+  options.threads = 1;
+  for (const bool with_confidence : {false, true}) {
+    core::StoreStreamOptions stream;
+    stream.action = ActionType::kSelectMail;
+    stream.with_confidence = with_confidence;
+    stream.confidence.replicates = 2;
+    EXPECT_THROW(core::analyze_store_windows(corrupted, options, stream), std::runtime_error)
+        << "confidence " << with_confidence;
   }
 }
 

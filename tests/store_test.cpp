@@ -107,6 +107,7 @@ TEST(StoreFooterTest, FooterRoundtrip) {
   footer.min_time_ms = -17;
   footer.max_time_ms = 123456;
   footer.slice_rows[2][1] = 40;
+  footer.slice_rows[0][0] = 60;  // The slice counts account for all 100 rows.
   footer.blocks = {{-17, 500}, {501, 123456}};
   for (std::size_t c = 0; c < kColumnCount; ++c) {
     footer.columns[c].codec = c == 1 ? ColumnCodec::kRaw : ColumnCodec::kDeltaVarint;
@@ -130,6 +131,31 @@ TEST(StoreFooterTest, FooterRoundtrip) {
   auto truncated = bytes;
   truncated.pop_back();
   EXPECT_THROW(decode_footer(truncated), std::runtime_error);
+}
+
+TEST(StoreFooterTest, SliceCountsMustSumToRows) {
+  // Window scans prune partitions on the slice counts, so a footer whose
+  // counts miss rows (or overshoot, or wrap) is rejected even with a valid
+  // CRC.
+  PartitionFooter footer;
+  footer.rows = 10;
+  footer.block_rows = 64;
+  footer.blocks = {{0, 9}};
+  for (auto& column : footer.columns) {
+    column.block_bytes = {80};
+    column.block_crcs = {0};
+    column.stored_bytes = 80;
+  }
+  footer.slice_rows[1][0] = 10;
+  EXPECT_NO_THROW(decode_footer(encode_footer(footer)));
+  footer.slice_rows[1][0] = 9;
+  EXPECT_THROW(decode_footer(encode_footer(footer)), std::runtime_error);
+  footer.slice_rows[1][0] = 11;
+  EXPECT_THROW(decode_footer(encode_footer(footer)), std::runtime_error);
+  footer.slice_rows[1][0] = 5;
+  footer.slice_rows[3][1] = std::numeric_limits<std::uint64_t>::max() - 2;  // 5 + it wraps to 2.
+  footer.slice_rows[4][0] = 8;
+  EXPECT_THROW(decode_footer(encode_footer(footer)), std::runtime_error);
 }
 
 TEST(StoreFooterTest, ManifestRejectsPathEscapes) {

@@ -71,6 +71,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -939,9 +940,11 @@ int cmd_store_analyze(const cli::Args& args) {
   const auto options = options_from_flags(args);
 
   core::StoreStreamOptions stream;
-  const auto window_days = args.get_int("window-days", 7);
-  if (window_days <= 0) throw std::invalid_argument("--window-days must be positive");
-  stream.window_ms = window_days * telemetry::kMillisPerDay;
+  stream.window_ms =
+      args.get_int<std::int64_t>("window-days", 7, 1,
+                                 std::numeric_limits<std::int64_t>::max() /
+                                     telemetry::kMillisPerDay) *
+      telemetry::kMillisPerDay;
   stream.action = action_flag(args);
   stream.user_class = class_flag(args);
   stream.with_confidence = args.has("confidence");

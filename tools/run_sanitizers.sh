@@ -9,11 +9,11 @@
 # emitter/collector pipeline, the parallel execution layer, the metrics
 # registry, the live-scraped introspection server, wire trace propagation,
 # the dispatched SIMD kernels, the out-of-core store's mmap/varint decoders,
-# the Dataset row gather behind validation and slicing, and the estimator
-# core, whose accumulator merges per-chunk partials filled on pool threads —
-# the code where memory-safety and data-race bugs would actually live. Pass
-# --soak to also run the slow-labelled soak tests (ctest -C soak -L slow) in
-# each tree.
+# the fused select pass behind validation, slicing and store windows, and
+# the estimator core, whose accumulator merges per-chunk partials filled on
+# pool threads — the code where memory-safety and data-race bugs would
+# actually live. Pass --soak to also run the slow-labelled soak tests
+# (ctest -C soak -L slow) in each tree.
 #
 # Only the test targets for those labels are built, not the whole tree, so a
 # sanitizer pass stays affordable on a small machine.
