@@ -1,15 +1,18 @@
 #include "core/accumulator.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "core/biased.h"
 #include "core/confounder_dow.h"
 #include "core/parallel.h"
 #include "core/simd.h"
 #include "obs/trace.h"
+#include "telemetry/binlog.h"
 #include "telemetry/clock.h"
 
 namespace autosens::core {
@@ -38,6 +41,62 @@ std::int64_t doubled_cell(std::optional<std::int64_t> prev, std::int64_t time_ms
   const std::int64_t right = next && *next < hi ? time_ms + *next : 2 * hi;
   return right - left;
 }
+
+using telemetry::codec::put_varint;
+using telemetry::codec::zigzag_decode;
+using telemetry::codec::zigzag_encode;
+
+/// Values as zigzag varints, a run of zeros as (0, run length).
+template <typename T>
+void put_values(std::vector<std::uint8_t>& out, const std::vector<T>& values) {
+  for (std::size_t i = 0; i < values.size();) {
+    if (values[i] != 0) {
+      put_varint(out, zigzag_encode(static_cast<std::int64_t>(values[i++])));
+      continue;
+    }
+    std::size_t run = 0;
+    while (i < values.size() && values[i] == 0) ++i, ++run;
+    put_varint(out, 0);
+    put_varint(out, run);
+  }
+}
+
+/// Cursor over untrusted encoded statistics; every read throws
+/// std::runtime_error on truncation or a value no fill produces.
+struct Decoder {
+  std::span<const std::uint8_t> in;
+  std::size_t& offset;
+
+  [[noreturn]] static void fail(const std::string& what) {
+    throw std::runtime_error("Accumulator::decode: " + what);
+  }
+  std::uint64_t varint() {
+    std::uint64_t value = 0;
+    if (!telemetry::codec::get_varint(in, offset, value)) fail("truncated");
+    return value;
+  }
+  /// A zigzag value that must be >= 0 (every count and doubled time is).
+  std::int64_t nonnegative() {
+    const std::int64_t value = zigzag_decode(varint());
+    if (value < 0) fail("negative value");
+    return value;
+  }
+  template <typename T>
+  void values(std::vector<T>& into) {
+    for (std::size_t i = 0; i < into.size();) {
+      const std::uint64_t token = varint();
+      if (token != 0) {
+        const std::int64_t value = zigzag_decode(token);
+        if (value < 0) fail("negative value");
+        into[i++] = static_cast<T>(value);
+        continue;
+      }
+      const std::uint64_t run = varint();
+      if (run == 0 || run > into.size() - i) fail("bad zero run");
+      i += static_cast<std::size_t>(run);  // Already zero.
+    }
+  }
+};
 
 }  // namespace
 
@@ -143,7 +202,8 @@ void Accumulator::add_run(std::optional<std::int64_t> prev, std::int64_t time_ms
 }
 
 void Accumulator::fill_range(telemetry::SampleColumns columns, std::size_t begin,
-                             std::size_t end, std::span<const TimeWindow> u_windows) {
+                             std::size_t end, std::span<const TimeWindow> u_windows,
+                             Neighbours outside) {
   if (begin >= end) return;
   const auto times = columns.times;
   const std::size_t n = times.size();
@@ -177,8 +237,8 @@ void Accumulator::fill_range(telemetry::SampleColumns columns, std::size_t begin
     if (t >= cell.end_ms) cell = cell_at(t);
     while (window != u_windows.end() && window->end_ms <= t) ++window;
     const bool observed = window != u_windows.end() && window->begin_ms <= t;
-    add_cells(i > 0 ? std::optional(times[i - 1]) : std::nullopt, t,
-              j < n ? std::optional(times[j]) : std::nullopt, cell,
+    add_cells(i > 0 ? std::optional(times[i - 1]) : outside.before, t,
+              j < n ? std::optional(times[j]) : outside.after, cell,
               observed ? &*window : nullptr,
               std::span<const std::uint32_t>(fine).subspan(i - block_begin, j - i),
               std::span<const std::uint32_t>(alpha).subspan(i - block_begin, j - i));
@@ -188,7 +248,7 @@ void Accumulator::fill_range(telemetry::SampleColumns columns, std::size_t begin
 
 Accumulator Accumulator::fill(telemetry::SampleColumns columns, ClassGrid grid,
                               const AutoSensOptions& options,
-                              std::span<const TimeWindow> windows) {
+                              std::span<const TimeWindow> windows, Neighbours outside) {
   Accumulator empty(grid, options);
   if (columns.times.size() != columns.latencies.size()) {
     throw std::invalid_argument("Accumulator::fill: size mismatch");
@@ -204,6 +264,10 @@ Accumulator Accumulator::fill(telemetry::SampleColumns columns, ClassGrid grid,
   const auto times = columns.times;
   const std::size_t n = times.size();
   if (n == 0) return empty;
+  if ((outside.before && *outside.before >= times.front()) ||
+      (outside.after && *outside.after <= times.back())) {
+    throw std::invalid_argument("Accumulator::fill: neighbours inside the stretch");
+  }
   const TimeWindow data{.begin_ms = times.front(), .end_ms = times.back() + 1};
   const auto u_windows = windows.empty() ? std::span<const TimeWindow>(&data, 1) : windows;
   // Chunks start on run starts, so each duplicate-time run is one chunk's.
@@ -220,7 +284,7 @@ Accumulator Accumulator::fill(telemetry::SampleColumns columns, ClassGrid grid,
       n, options.threads, per_chunk,
       [&](std::size_t begin, std::size_t end, std::size_t /*chunk*/) {
         Accumulator partial = empty;
-        partial.fill_range(columns, run_start(begin), run_start(end), u_windows);
+        partial.fill_range(columns, run_start(begin), run_start(end), u_windows, outside);
         return partial;
       },
       [](Accumulator& accumulator, Accumulator&& partial) { accumulator.merge(partial); });
@@ -231,8 +295,12 @@ void Accumulator::merge(const Accumulator& other) {
       other.fine_.size() != fine_.size() || other.alpha_.size() != alpha_.size()) {
     throw std::invalid_argument("Accumulator::merge: geometry mismatch");
   }
-  const auto add = [](auto& into, const auto& from) {
-    for (std::size_t i = 0; i < into.size(); ++i) into[i] += from[i];
+  // Checked: a fill cannot overflow, but decoded bytes are untrusted.
+  bool overflow = false;
+  const auto add = [&](auto& into, const auto& from) {
+    for (std::size_t i = 0; i < into.size(); ++i) {
+      overflow |= __builtin_add_overflow(into[i], from[i], &into[i]);
+    }
   };
   add(counts_fine_, other.counts_fine_);
   add(counts_alpha_, other.counts_alpha_);
@@ -240,13 +308,114 @@ void Accumulator::merge(const Accumulator& other) {
   add(class_time2_, other.class_time2_);
   add(records_, other.records_);
   add(time_fine2_, other.time_fine2_);
-  u_time2_ += other.u_time2_;
-  for (const auto& [key, value] : other.shared_) shared_[key] += value;
+  overflow |= __builtin_add_overflow(u_time2_, other.u_time2_, &u_time2_);
+  for (const auto& [key, value] : other.shared_) {
+    overflow |= __builtin_add_overflow(shared_[key], value, &shared_[key]);
+  }
+  if (overflow) throw std::overflow_error("Accumulator::merge: statistics overflow");
   if (other.data_) {
     data_ = data_ ? TimeWindow{std::min(data_->begin_ms, other.data_->begin_ms),
                                std::max(data_->end_ms, other.data_->end_ms)}
                   : other.data_;
   }
+}
+
+void Accumulator::encode(std::vector<std::uint8_t>& out) const {
+  put_varint(out, static_cast<std::uint64_t>(grid_));
+  put_varint(out, std::bit_cast<std::uint64_t>(options_.bin_width_ms));
+  put_varint(out, std::bit_cast<std::uint64_t>(options_.max_latency_ms));
+  put_varint(out, std::bit_cast<std::uint64_t>(options_.alpha_bin_width_ms));
+  put_varint(out, zigzag_encode(options_.alpha_slot_ms));
+  put_varint(out, classes_);
+  put_varint(out, fine_.size());
+  put_varint(out, alpha_.size());
+  put_values(out, counts_fine_);
+  put_values(out, counts_alpha_);
+  put_values(out, time_alpha2_);
+  put_values(out, class_time2_);
+  put_values(out, records_);
+  put_values(out, time_fine2_);
+  put_varint(out, zigzag_encode(u_time2_));
+  put_varint(out, shared_.size());
+  for (const auto& [key, value] : shared_) {
+    put_varint(out, key.first);
+    put_varint(out, static_cast<std::uint64_t>(key.second));
+    put_varint(out, zigzag_encode(value));
+  }
+  out.push_back(data_ ? 1 : 0);
+  if (data_) {
+    put_varint(out, zigzag_encode(data_->begin_ms));
+    put_varint(out, static_cast<std::uint64_t>(data_->length()));
+  }
+}
+
+Accumulator Accumulator::decode(std::span<const std::uint8_t> in, std::size_t& offset,
+                                ClassGrid grid, const AutoSensOptions& options) {
+  Accumulator out(grid, options);
+  Decoder d{in, offset};
+  if (d.varint() != static_cast<std::uint64_t>(grid) ||
+      d.varint() != std::bit_cast<std::uint64_t>(options.bin_width_ms) ||
+      d.varint() != std::bit_cast<std::uint64_t>(options.max_latency_ms) ||
+      d.varint() != std::bit_cast<std::uint64_t>(options.alpha_bin_width_ms) ||
+      d.varint() != zigzag_encode(options.alpha_slot_ms) || d.varint() != out.classes_ ||
+      d.varint() != out.fine_.size() || d.varint() != out.alpha_.size()) {
+    Decoder::fail("geometry differs from the analysis options");
+  }
+  d.values(out.counts_fine_);
+  d.values(out.counts_alpha_);
+  d.values(out.time_alpha2_);
+  d.values(out.class_time2_);
+  d.values(out.records_);
+  d.values(out.time_fine2_);
+  out.u_time2_ = d.nonnegative();
+  // Each record is binned once in each grid, so both bin rows of a class sum
+  // to its record count.
+  std::size_t total = 0;
+  for (std::size_t c = 0; c < out.classes_; ++c) {
+    const auto sum = [&](const std::vector<std::int64_t>& counts, std::size_t bins) {
+      std::int64_t s = 0;
+      for (std::size_t i = 0; i < bins; ++i) {
+        if (__builtin_add_overflow(s, counts[c * bins + i], &s)) Decoder::fail("count overflow");
+      }
+      return static_cast<std::size_t>(s);
+    };
+    if (sum(out.counts_fine_, out.fine_.size()) != out.records_[c] ||
+        sum(out.counts_alpha_, out.alpha_.size()) != out.records_[c]) {
+      Decoder::fail("bin counts disagree with record counts");
+    }
+    if (__builtin_add_overflow(total, out.records_[c], &total)) Decoder::fail("count overflow");
+  }
+  const std::size_t slots = out.fine_.size() + out.classes_ * out.alpha_.size();
+  const std::uint64_t shared = d.varint();
+  if (shared > (in.size() - offset) / 3) Decoder::fail("duplicate-run count exceeds payload");
+  for (std::uint64_t e = 0; e < shared; ++e) {
+    const std::uint64_t slot = d.varint();
+    const std::uint64_t run = d.varint();
+    if (slot >= slots || run < 2 || run > total) Decoder::fail("bad duplicate-run key");
+    const std::pair<std::size_t, std::int64_t> key{static_cast<std::size_t>(slot),
+                                                   static_cast<std::int64_t>(run)};
+    if (!out.shared_.empty() && !(out.shared_.rbegin()->first < key)) {
+      Decoder::fail("duplicate-run keys out of order");
+    }
+    out.shared_.emplace_hint(out.shared_.end(), key, d.nonnegative());
+  }
+  if (offset >= in.size()) Decoder::fail("truncated");
+  const std::uint8_t has_data = in[offset++];
+  if (has_data > 1 || (has_data == 1) != (total > 0)) {
+    Decoder::fail("data range disagrees with the record count");
+  }
+  if (has_data == 1) {
+    const std::int64_t begin = zigzag_decode(d.varint());
+    const std::uint64_t length = d.varint();
+    std::int64_t end = 0;
+    if (length == 0 ||
+        length > static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max()) ||
+        __builtin_add_overflow(begin, static_cast<std::int64_t>(length), &end)) {
+      Decoder::fail("bad data range");
+    }
+    out.data_ = TimeWindow{begin, end};
+  }
+  return out;
 }
 
 std::size_t Accumulator::records() const noexcept {

@@ -17,6 +17,12 @@
 // is therefore exact and the result does not depend on the chunk grid, the
 // thread count or the feed order. finish() runs the α solve, the
 // α-normalized B (Σ_k counts_k / α_k) and compute_preference.
+//
+// Because the statistics are exact, they can also be stored: encode() and
+// decode() round-trip them bit for bit, and a fill over a stretch of whole
+// runs takes the samples just outside it as explicit neighbours, so a
+// stretch's statistics merge with its neighbours' into exactly the
+// statistics of one pass (the store's partition summaries, DESIGN.md §6e).
 #pragma once
 
 #include <cstdint>
@@ -81,14 +87,25 @@ class Accumulator {
   /// std::invalid_argument when options.alpha_slot_ms does not divide a day.
   Accumulator(ClassGrid grid, const AutoSensOptions& options);
 
+  /// The sample times just outside a stretch of columns; nullopt where the
+  /// data ends.
+  struct Neighbours {
+    std::optional<std::int64_t> before;
+    std::optional<std::int64_t> after;
+  };
+
   /// The statistics of sorted columns, in one pass. The global U observes
   /// the samples inside `windows` (sorted, disjoint, non-empty), or the
-  /// columns' own [begin, end) range when `windows` is empty. Chunks run on
-  /// options.threads workers; the result is the same for any value. Throws
-  /// std::invalid_argument on unsorted times or a bad window list.
+  /// columns' own [begin, end) range when `windows` is empty. When the
+  /// columns are a stretch of a longer series, `outside` names the samples
+  /// around it, which become the first and last runs' neighbours; the
+  /// stretch must hold whole duplicate-time runs (before < first time, after
+  /// > last time). Chunks run on options.threads workers; the result is the
+  /// same for any value. Throws std::invalid_argument on unsorted times, a
+  /// bad window list or neighbours that do not lie outside the stretch.
   static Accumulator fill(telemetry::SampleColumns columns, ClassGrid grid,
                           const AutoSensOptions& options,
-                          std::span<const TimeWindow> windows = {});
+                          std::span<const TimeWindow> windows = {}, Neighbours outside = {});
 
   /// Adds one run of samples that share `time_ms` (one sample, or exact
   /// duplicates). `prev` / `next` are the neighbouring sample times, nullopt
@@ -99,8 +116,26 @@ class Accumulator {
                TimeWindow u_window);
 
   /// Adds `other` (same grid and options); exact. Throws
-  /// std::invalid_argument on a geometry mismatch.
+  /// std::invalid_argument on a geometry mismatch and std::overflow_error
+  /// when a sum leaves the int64 range (only decoded hostile bytes get
+  /// there).
   void merge(const Accumulator& other);
+
+  /// Appends the statistics to `out`: the geometry, then every value as a
+  /// zigzag varint with runs of zeros collapsed to (0, run length).
+  void encode(std::vector<std::uint8_t>& out) const;
+  /// Reads statistics encode() wrote, starting at `offset` (advanced past
+  /// them), into empty statistics of `grid` and `options`. Allocates only
+  /// what that geometry sizes (plus one map entry per duplicate-run key
+  /// present in the bytes). Throws std::runtime_error on truncated or
+  /// malformed bytes, a geometry other than options', and values no fill
+  /// produces: negative sums, bin counts that disagree with the record
+  /// totals, or a data range that disagrees with them.
+  static Accumulator decode(std::span<const std::uint8_t> in, std::size_t& offset,
+                            ClassGrid grid, const AutoSensOptions& options);
+
+  /// [first sample, last sample + 1) of the statistics; nullopt when empty.
+  std::optional<TimeWindow> data_range() const noexcept { return data_; }
 
   std::size_t class_count() const noexcept { return classes_; }
   std::size_t records() const noexcept;
@@ -145,7 +180,7 @@ class Accumulator {
                  const TimeWindow* u_window, std::span<const std::uint32_t> fine,
                  std::span<const std::uint32_t> alpha);
   void fill_range(telemetry::SampleColumns columns, std::size_t begin, std::size_t end,
-                  std::span<const TimeWindow> u_windows);
+                  std::span<const TimeWindow> u_windows, Neighbours outside);
   /// Twice the Voronoi time of `slot` (global fine bins first, then class
   /// α bins), with duplicate-run shares divided by their run length.
   double doubled_time(std::size_t slot, std::int64_t single) const;

@@ -33,25 +33,19 @@ PipelineMetrics& metrics() {
   return handles;
 }
 
-/// The shared core of every analysis run over a sorted column view: one
-/// accumulator pass, the Monte-Carlo U when options ask for it (whole-range
-/// runs only), the finished curve, and the run bookkeeping.
-AnalysisResult analyze_columns(telemetry::SampleColumns columns,
-                               std::span<const TimeWindow> windows,
-                               const AutoSensOptions& options) {
-  metrics().records.inc(columns.size());
-  const auto accumulator = [&] {
-    obs::Span span("accumulate", &metrics().accumulate_ms);
-    span.attr("records", static_cast<std::int64_t>(columns.size()));
-    span.attr("windows", static_cast<std::int64_t>(windows.size()));
-    return Accumulator::fill(columns, ClassGrid::kSlot, options, windows);
-  }();
-  std::optional<stats::Histogram> monte_carlo;
-  if (windows.empty() && options.unbiased_method == UnbiasedMethod::kMonteCarlo) {
-    obs::Span span("unbiased", &metrics().unbiased_ms);
-    span.attr("method", "mc");
-    monte_carlo = unbiased_histogram(columns, options);
-  }
+/// The Monte-Carlo U over `columns` when options ask for it.
+std::optional<stats::Histogram> monte_carlo_unbiased(telemetry::SampleColumns columns,
+                                                     const AutoSensOptions& options) {
+  if (options.unbiased_method != UnbiasedMethod::kMonteCarlo) return std::nullopt;
+  obs::Span span("unbiased", &metrics().unbiased_ms);
+  span.attr("method", "mc");
+  return unbiased_histogram(columns, options);
+}
+
+/// The finished curve of accumulated statistics, and the run bookkeeping.
+AnalysisResult finish_run(const Accumulator& accumulator,
+                          std::optional<stats::Histogram> monte_carlo) {
+  metrics().records.inc(accumulator.records());
   auto result = [&] {
     obs::Span span("preference", &metrics().preference_ms);
     return accumulator.finish(std::move(monte_carlo));
@@ -66,7 +60,29 @@ AnalysisResult analyze_columns(telemetry::SampleColumns columns,
   return result;
 }
 
+/// The shared core of every analysis run over a sorted column view: one
+/// accumulator pass, the Monte-Carlo U when options ask for it (whole-range
+/// runs only), the finished curve, and the run bookkeeping.
+AnalysisResult analyze_columns(telemetry::SampleColumns columns,
+                               std::span<const TimeWindow> windows,
+                               const AutoSensOptions& options) {
+  const auto accumulator = [&] {
+    obs::Span span("accumulate", &metrics().accumulate_ms);
+    span.attr("records", static_cast<std::int64_t>(columns.size()));
+    span.attr("windows", static_cast<std::int64_t>(windows.size()));
+    return Accumulator::fill(columns, ClassGrid::kSlot, options, windows);
+  }();
+  return finish_run(accumulator, windows.empty() ? monte_carlo_unbiased(columns, options)
+                                                 : std::nullopt);
+}
+
 }  // namespace
+
+AnalysisResult analyze_accumulated(const Accumulator& accumulator,
+                                   telemetry::SampleColumns columns,
+                                   const AutoSensOptions& options) {
+  return finish_run(accumulator, monte_carlo_unbiased(columns, options));
+}
 
 AnalysisResult analyze_detailed(const telemetry::Dataset& dataset,
                                 const AutoSensOptions& options) {

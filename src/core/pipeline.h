@@ -42,6 +42,15 @@ PreferenceResult analyze(const telemetry::DatasetView& view, const AutoSensOptio
 AnalysisResult analyze_detailed(telemetry::SampleColumns columns, const AutoSensOptions& options);
 PreferenceResult analyze(telemetry::SampleColumns columns, const AutoSensOptions& options);
 
+/// Finish statistics accumulated elsewhere — a store window stitches them
+/// from partition summaries and row stretches — with the Monte-Carlo U,
+/// spans and run bookkeeping of analyze_detailed. With
+/// UnbiasedMethod::kMonteCarlo, `columns` must hold every sample the
+/// statistics saw (the draws need the samples); otherwise it is unused.
+AnalysisResult analyze_accumulated(const Accumulator& accumulator,
+                                   telemetry::SampleColumns columns,
+                                   const AutoSensOptions& options);
+
 /// Run AutoSens on a dataset observed only during `windows` (sorted,
 /// disjoint) — e.g. the daily 6-hour chunks of a time-of-day slice (§3.6).
 /// The unbiased distribution is estimated within each window to avoid the

@@ -4,29 +4,46 @@
 // independent of store size — the out-of-core path for datasets larger than
 // RAM.
 //
-// A window is never built as a six-column Dataset. One fused select pass
-// (telemetry/select.h) runs over each overlapping partition's exact row
-// range, straight off the partition read: it scrubs, applies the slice
-// filter and appends only the kept rows' time and latency to one buffer all
-// windows reuse, which the estimators then read. A partition whose footer
-// counts hold no row of the requested (action, user_class) slice is pruned
-// without being opened. Every opened block of every column is still
+// A window is a time-ordered list of segments, one per partition it
+// touches. A partition whose footer counts hold no row of the requested
+// (action, user_class) slice is pruned without being opened. A partition
+// that lies wholly inside the window is merged from its summary
+// (core/partition_summary.h): the exact statistics of its interior runs,
+// plus its first and last runs as samples. Every other partition — in
+// practice the partial ones at the window's two edges — is read: one fused
+// select pass (telemetry/select.h) scrubs its rows, applies the slice filter
+// and appends the kept rows' time and latency to one buffer all windows
+// reuse. One stitcher then adds every run that is not a summary's interior
+// exactly once, in time order, with its true neighbours: row stretches in
+// bulk, and the runs at segment edges one at a time, joining equal-time
+// runs a shard cut split. Every opened block of every column is still
 // CRC-checked and decoded — the compressed user column too, though no
-// selection reads it, so it is decoded block by block and not kept.
-// Confidence windows gather the selected rows' six columns into a Dataset,
-// because the bootstrap resamples one.
+// selection reads it, so it is decoded block by block and not kept. A
+// merged summary blob is CRC-checked and validated against its footer.
+//
+// Summaries are not used, and the window's summary_fallback names why, when
+// the window asks for something they do not hold: a user_class filter
+// ("user_class"), scrub off ("no_scrub"), non-default ValidationOptions
+// ("validation"), intervals ("confidence"), a non-default bin_width_ms,
+// max_latency_ms, alpha_bin_width_ms or alpha_slot_ms ("geometry"), or the
+// Monte-Carlo U ("mc"). Such a window reads every partition as rows; the
+// loop is otherwise the same. Confidence windows gather the selected rows'
+// six columns into a Dataset, because the bootstrap resamples one.
 //
 // Equivalence contract: each window's result is byte-identical to running
 // analyze()/analyze_with_confidence() on the same rows cut out of a fully
 // in-memory Dataset, scrubbed with telemetry::validate and sliced with
-// Dataset::filtered — the same rows in the same order reach the same
-// estimators, and confidence replicates reseed per window and resample only
-// the window's days, so they never touch partitions outside it.
+// Dataset::filtered — with or without summaries, the estimators see the
+// same exact statistics, and confidence replicates reseed per window and
+// resample only the window's days, so they never touch partitions outside
+// it. The autosens_validate_* counters count the same verdicts too: a
+// summarized partition adds the verdicts its footer recorded.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "core/confidence.h"
@@ -69,10 +86,16 @@ struct StoreWindowResult {
   std::int64_t end_ms = 0;
   std::size_t records = 0;  ///< Rows analyzed (after slice filters).
   std::size_t partitions_scanned = 0;
-  /// Partitions skipped by time range or by footer slice counts; with
-  /// partitions_scanned it accounts for every partition.
+  /// Partitions skipped by time range or by footer slice counts.
   std::size_t partitions_pruned = 0;
-  std::uint64_t bytes_read = 0;  ///< Stored bytes consumed from disk.
+  /// Partitions wholly inside the window merged from their summaries; with
+  /// partitions_scanned and partitions_pruned it accounts for every
+  /// partition.
+  std::size_t partitions_summarized = 0;
+  std::uint64_t bytes_read = 0;    ///< Stored bytes consumed (columns and summaries).
+  std::uint64_t rows_decoded = 0;  ///< Rows of the column blocks read.
+  /// Why the window read every partition as rows, or "none" (see below).
+  std::string_view summary_fallback = "none";
   std::optional<PreferenceResult> preference;
   std::optional<PreferenceWithConfidence> confidence;
 };
@@ -81,8 +104,10 @@ struct StoreWindowResult {
 /// Windows tile [min_time, max_time] from min_time; a window end that would
 /// pass INT64_MAX is clamped there, so window_ms = INT64_MAX yields one window
 /// holding the whole store. Each window runs under a `store.window` trace
-/// span (partitions scanned and pruned, bytes read, rows selected) with a
-/// `store.select` child for the scan.
+/// span (partitions scanned, pruned and summarized, bytes read, rows decoded
+/// and selected, summary_fallback) with a `store.select` child for the scan,
+/// a `store.merge` child for the summaries and the estimator spans; `sink`
+/// runs inside it too.
 void analyze_store_windows(const telemetry::store::StoredDataset& store,
                            const AutoSensOptions& options, const StoreStreamOptions& stream,
                            const std::function<void(const StoreWindowResult&)>& sink);

@@ -93,6 +93,86 @@ void seal(std::vector<std::uint8_t>& out) {
   put_u32_le(out, crc32(payload));
 }
 
+/// The version check of a footer or MANIFEST, naming both versions.
+void check_version(std::uint64_t version, const char* what) {
+  if (version != kFormatVersion) {
+    throw std::runtime_error(std::string(what) + ": unsupported format version " +
+                             std::to_string(version) + " (this build reads version " +
+                             std::to_string(kFormatVersion) + ")");
+  }
+}
+
+/// The report fields in encoding order.
+std::array<std::size_t*, 8> report_fields(ValidationReport& r) {
+  return {&r.total,
+          &r.kept,
+          &r.dropped_error_status,
+          &r.dropped_nonpositive_latency,
+          &r.dropped_excessive_latency,
+          &r.dropped_nonfinite_latency,
+          &r.dropped_bad_timestamp,
+          &r.dropped_out_of_window};
+}
+
+void put_summaries(std::vector<std::uint8_t>& out, const PartitionSummaries& summaries) {
+  ValidationReport report = summaries.report;
+  for (const std::size_t* field : report_fields(report)) put_varint(out, *field);
+  const auto put_ref = [&](const SummaryRef& ref) {
+    put_varint(out, ref.kept_rows);
+    put_varint(out, ref.bytes);
+    put_u32_le(out, ref.crc);
+  };
+  for (const auto& ref : summaries.by_action) put_ref(ref);
+  put_ref(summaries.all);
+}
+
+/// Sums untrusted counts, throwing instead of wrapping.
+std::uint64_t checked_sum(std::uint64_t a, std::uint64_t b, const char* what) {
+  std::uint64_t sum = 0;
+  if (__builtin_add_overflow(a, b, &sum)) {
+    throw std::runtime_error(std::string("store footer: ") + what + " overflow");
+  }
+  return sum;
+}
+
+/// The summary index must account for the partition's rows: the scrub
+/// verdicts cover every row, each slice keeps no more rows than it holds,
+/// and the kept rows of the (action, *) slices add up to (*, *)'s.
+void check_summaries(const PartitionFooter& footer) {
+  const PartitionSummaries& summaries = footer.summaries;
+  const ValidationReport& report = summaries.report;
+  std::uint64_t verdicts = report.kept;
+  for (const std::uint64_t dropped :
+       {report.dropped_error_status, report.dropped_nonpositive_latency,
+        report.dropped_excessive_latency, report.dropped_nonfinite_latency,
+        report.dropped_bad_timestamp, report.dropped_out_of_window}) {
+    verdicts = checked_sum(verdicts, dropped, "scrub verdict");
+  }
+  if (report.total != footer.rows || verdicts != report.total) {
+    throw std::runtime_error("store footer: scrub verdicts do not account for the rows");
+  }
+  std::uint64_t kept = 0;
+  std::uint64_t bytes = 0;
+  for (std::size_t a = 0; a <= summaries.by_action.size(); ++a) {
+    const bool all = a == summaries.by_action.size();
+    const SummaryRef& ref = all ? summaries.all : summaries.by_action[a];
+    if ((ref.kept_rows == 0) != (ref.bytes == 0)) {
+      throw std::runtime_error("store footer: summary blob without kept rows, or rows without one");
+    }
+    bytes = checked_sum(bytes, ref.bytes, "summary size");
+    if (all) continue;
+    if (ref.kept_rows >
+        footer.slice_row_count(static_cast<ActionType>(a), std::nullopt)) {
+      throw std::runtime_error("store footer: summary keeps more rows than its slice holds");
+    }
+    kept = checked_sum(kept, ref.kept_rows, "summary kept rows");
+  }
+  checked_sum(bytes, kSummaryMagic.size(), "summary size");
+  if (kept != report.kept || summaries.all.kept_rows != report.kept) {
+    throw std::runtime_error("store footer: summary kept rows disagree with the scrub verdicts");
+  }
+}
+
 ColumnCodec parse_codec(std::uint8_t value, const char* what) {
   if (value > static_cast<std::uint8_t>(ColumnCodec::kZstd)) {
     throw std::runtime_error(std::string(what) + ": unknown column codec " +
@@ -134,15 +214,14 @@ std::vector<std::uint8_t> encode_footer(const PartitionFooter& footer) {
     for (const std::uint64_t bytes : column.block_bytes) put_varint(out, bytes);
     for (const std::uint32_t crc : column.block_crcs) put_u32_le(out, crc);
   }
+  put_summaries(out, footer.summaries);
   seal(out);
   return out;
 }
 
 PartitionFooter decode_footer(std::span<const std::uint8_t> data) {
   Reader r{checked_payload(data, kFooterMagic, "store footer"), 0, "store footer"};
-  if (r.varint() != kFormatVersion) {
-    throw std::runtime_error("store footer: unsupported format version");
-  }
+  check_version(r.varint(), "store footer");
   PartitionFooter footer;
   footer.rows = r.varint();
   footer.block_rows = static_cast<std::uint32_t>(r.varint());
@@ -165,6 +244,14 @@ PartitionFooter decode_footer(std::span<const std::uint8_t> data) {
     column.block_crcs.resize(blocks);
     for (auto& crc : column.block_crcs) crc = r.u32_le();
   }
+  for (std::size_t* field : report_fields(footer.summaries.report)) *field = r.varint();
+  const auto get_ref = [&](SummaryRef& ref) {
+    ref.kept_rows = r.varint();
+    ref.bytes = r.varint();
+    ref.crc = r.u32_le();
+  };
+  for (auto& ref : footer.summaries.by_action) get_ref(ref);
+  get_ref(footer.summaries.all);
   r.done();
   if (footer.rows > 0 && footer.block_rows == 0) {
     throw std::runtime_error("store footer: zero block_rows");
@@ -188,6 +275,7 @@ PartitionFooter decode_footer(std::span<const std::uint8_t> data) {
   if (slice_total != footer.rows) {
     throw std::runtime_error("store footer: slice row counts do not sum to row count");
   }
+  check_summaries(footer);
   return footer;
 }
 
@@ -212,9 +300,7 @@ std::vector<std::uint8_t> encode_manifest(std::span<const PartitionInfo> partiti
 
 std::vector<PartitionInfo> decode_manifest(std::span<const std::uint8_t> data) {
   Reader r{checked_payload(data, kManifestMagic, "store manifest"), 0, "store manifest"};
-  if (r.varint() != kFormatVersion) {
-    throw std::runtime_error("store manifest: unsupported format version");
-  }
+  check_version(r.varint(), "store manifest");
   const std::size_t count = r.counted(r.varint(), 8);
   std::vector<PartitionInfo> partitions(count);
   for (auto& p : partitions) {

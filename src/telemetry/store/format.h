@@ -6,6 +6,8 @@
 //       time.col latency.col user.col   one file per Dataset column
 //       action.col class.col status.col
 //       footer.asf                      per-block stats + per-slice row counts
+//                                       + the summary index
+//       summary.asu                     per-slice estimator summaries
 //
 // Partitions are cut on calendar-day boundaries (telemetry::day_index — the
 // same unit the day-block bootstrap resamples), with a secondary cut at
@@ -26,6 +28,16 @@
 //
 // Footer ("ASF1") and MANIFEST ("ASM1") are varint/zigzag-coded streams with
 // a trailing CRC-32 over everything after the magic (see footer.cpp).
+//
+// Summary file ("ASU1"): the magic, then one blob per slice in the order of
+// PartitionSummaries — (action 0, *) … (action 4, *), then (*, *). Each blob
+// is the exact core::Accumulator statistics of the slice's interior runs
+// plus its first and last runs as samples (core/partition_summary.h). The
+// footer indexes the blobs (length, CRC-32, kept rows); the file is only
+// mapped, and a blob only CRC-checked and decoded, when a window merges it.
+//
+// Version 2 added the summaries. Readers reject any other version (a
+// version-1 store fails at its MANIFEST with a runtime_error).
 #pragma once
 
 #include <array>
@@ -37,16 +49,19 @@
 #include <vector>
 
 #include "telemetry/record.h"
+#include "telemetry/validate.h"
 
 namespace autosens::telemetry::store {
 
 inline constexpr std::array<char, 4> kColumnMagic = {'A', 'S', 'C', '1'};
 inline constexpr std::array<char, 4> kFooterMagic = {'A', 'S', 'F', '1'};
 inline constexpr std::array<char, 4> kManifestMagic = {'A', 'S', 'M', '1'};
-inline constexpr std::uint8_t kFormatVersion = 1;
+inline constexpr std::array<char, 4> kSummaryMagic = {'A', 'S', 'U', '1'};
+inline constexpr std::uint8_t kFormatVersion = 2;
 
 inline constexpr std::string_view kManifestFileName = "MANIFEST";
 inline constexpr std::string_view kFooterFileName = "footer.asf";
+inline constexpr std::string_view kSummaryFileName = "summary.asu";
 
 /// Column order is fixed and mirrors the Dataset SoA layout.
 enum class ColumnId : std::uint8_t {
@@ -113,6 +128,39 @@ struct ColumnMeta {
   std::vector<std::uint32_t> block_crcs;   ///< CRC-32 per stored block.
 };
 
+/// One slice's blob in the summary file. Blobs lie back to back in slice
+/// order after the magic, so the lengths place them.
+struct SummaryRef {
+  std::uint64_t kept_rows = 0;  ///< Rows of the slice the scrub keeps; 0 = no blob.
+  std::uint64_t bytes = 0;      ///< Blob length.
+  std::uint32_t crc = 0;        ///< CRC-32 of the blob.
+};
+
+/// The footer's index of a partition's summaries: one per (action, *) slice
+/// and one for (*, *), built from the rows the default ValidationOptions
+/// keep, plus that rule's verdicts over every row of the partition.
+struct PartitionSummaries {
+  ValidationReport report;
+  std::array<SummaryRef, kActionTypeCount> by_action;
+  SummaryRef all;
+
+  /// The (action, *) summary, or (*, *) when `action` is unset.
+  const SummaryRef& slice(std::optional<ActionType> action) const noexcept {
+    return action ? by_action[static_cast<std::size_t>(*action)] : all;
+  }
+  /// Byte offset of slice's blob in the summary file.
+  std::uint64_t offset(std::optional<ActionType> action) const noexcept {
+    std::uint64_t at = kSummaryMagic.size();
+    for (std::size_t a = 0; a < by_action.size(); ++a) {
+      if (action && static_cast<std::size_t>(*action) == a) return at;
+      at += by_action[a].bytes;
+    }
+    return at;
+  }
+  /// Size of the summary file.
+  std::uint64_t file_bytes() const noexcept { return offset(std::nullopt) + all.bytes; }
+};
+
 /// Everything footer.asf carries for one partition.
 struct PartitionFooter {
   std::uint64_t rows = 0;
@@ -124,6 +172,7 @@ struct PartitionFooter {
   std::array<std::array<std::uint64_t, kUserClassCount>, kActionTypeCount> slice_rows{};
   std::vector<BlockStat> blocks;
   std::array<ColumnMeta, kColumnCount> columns;
+  PartitionSummaries summaries;
 
   std::size_t block_count() const noexcept { return blocks.size(); }
   /// Rows of one action (all actions when unset) and one user class (all

@@ -18,6 +18,7 @@ namespace {
 struct ReaderMetrics {
   obs::Counter& partitions_scanned;
   obs::Counter& partitions_pruned;
+  obs::Counter& partitions_summarized;
   obs::Counter& bytes_read;
   obs::Counter& bytes_mapped;
 
@@ -28,6 +29,9 @@ struct ReaderMetrics {
         partitions_pruned(obs::registry().counter(
             "autosens_store_partitions_pruned_total",
             "Partitions skipped by the manifest time range or footer slice counts")),
+        partitions_summarized(obs::registry().counter(
+            "autosens_store_partitions_summarized_total",
+            "Partitions inside a window merged from their summaries, not read")),
         bytes_read(obs::registry().counter("autosens_store_read_bytes_total",
                                            "Stored bytes CRC-checked and consumed by reads")),
         bytes_mapped(obs::registry().counter("autosens_store_mapped_bytes_total",
@@ -127,6 +131,12 @@ std::uint64_t StoredDataset::raw_bytes() const noexcept {
 std::uint64_t StoredDataset::stored_bytes() const noexcept {
   std::uint64_t total = 0;
   for (const auto& p : manifest_) total += p.stored_bytes;
+  return total;
+}
+
+std::uint64_t StoredDataset::summary_bytes() const noexcept {
+  std::uint64_t total = 0;
+  for (const auto& footer : footers_) total += footer.summaries.file_bytes();
   return total;
 }
 
@@ -337,10 +347,31 @@ PartitionData StoredDataset::read_rows(std::size_t i, std::size_t row_begin,
   return out;
 }
 
+std::vector<std::uint8_t> StoredDataset::read_summary(std::size_t i,
+                                                      std::optional<ActionType> action) const {
+  const PartitionFooter& footer = footers_.at(i);
+  const std::string path = (dir_ / manifest_[i].dir_name / kSummaryFileName).string();
+  const SummaryRef& ref = footer.summaries.slice(action);
+  if (ref.bytes == 0) return {};
+  const MappedFile map = MappedFile::map(path);
+  const auto bytes = map.bytes();
+  if (bytes.size() != footer.summaries.file_bytes() ||
+      std::memcmp(bytes.data(), kSummaryMagic.data(), kSummaryMagic.size()) != 0) {
+    throw std::runtime_error("store: summary file disagrees with footer in " + path);
+  }
+  const auto blob = bytes.subspan(footer.summaries.offset(action), ref.bytes);
+  if (telemetry::codec::crc32(blob) != ref.crc) {
+    throw std::runtime_error("store: summary crc mismatch in " + path);
+  }
+  reader_metrics().bytes_read.inc(blob.size());
+  return {blob.begin(), blob.end()};
+}
+
 StoredDataset::WindowScan StoredDataset::scan_window(
     std::int64_t begin_ms, std::int64_t end_ms, std::optional<ActionType> action,
     std::optional<UserClass> user_class, UserIds user_ids,
-    const std::function<void(const RowColumns&)>& visit) const {
+    const std::function<void(std::size_t, const RowColumns&)>& visit,
+    const std::function<bool(std::size_t)>& use_summary) const {
   WindowScan out;
   const bool sliced = action.has_value() || user_class.has_value();
   for (std::size_t i = 0; i < manifest_.size(); ++i) {
@@ -349,6 +380,10 @@ StoredDataset::WindowScan StoredDataset::scan_window(
     if (!(p.min_time_ms < end_ms && p.max_time_ms >= begin_ms) ||
         (sliced && footer.slice_row_count(action, user_class) == 0)) {
       ++out.partitions_pruned;
+      continue;
+    }
+    if (use_summary && p.min_time_ms >= begin_ms && p.max_time_ms < end_ms && use_summary(i)) {
+      ++out.partitions_summarized;
       continue;
     }
     ++out.partitions_scanned;
@@ -364,24 +399,26 @@ StoredDataset::WindowScan StoredDataset::scan_window(
         footer.rows, b1 * static_cast<std::size_t>(footer.block_rows));
     const PartitionData part = read_rows(i, row_begin, row_end, user_ids);
     out.bytes_read += part.bytes_read();
+    out.rows_decoded += part.rows();
     // Exact trim: the decoded times are sorted.
     const auto times = part.times();
     const std::size_t lo = static_cast<std::size_t>(
         std::lower_bound(times.begin(), times.end(), begin_ms) - times.begin());
     const std::size_t hi = static_cast<std::size_t>(
         std::lower_bound(times.begin(), times.end(), end_ms) - times.begin());
-    if (lo < hi) visit(part.row_columns().slice(lo, hi - lo));
+    if (lo < hi) visit(i, part.row_columns().slice(lo, hi - lo));
   }
   ReaderMetrics& metrics = reader_metrics();
   metrics.partitions_scanned.inc(out.partitions_scanned);
   metrics.partitions_pruned.inc(out.partitions_pruned);
+  metrics.partitions_summarized.inc(out.partitions_summarized);
   return out;
 }
 
 StoredDataset::WindowLoad StoredDataset::load_window(std::int64_t begin_ms,
                                                      std::int64_t end_ms) const {
   WindowLoad out;
-  const auto append = [&](const RowColumns& rows) {
+  const auto append = [&](std::size_t, const RowColumns& rows) {
     out.dataset.append_columns(rows.times, rows.latencies, rows.user_ids, rows.actions,
                                rows.user_classes, rows.statuses);
   };

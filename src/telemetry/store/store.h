@@ -4,6 +4,10 @@
 // far larger than RAM opens instantly and an analysis window only pays for
 // the partitions (and blocks) it overlaps.
 //
+// Partition summaries (format.h) are read the same lazy way: open() decodes
+// only their footer index; read_summary() maps a partition's summary file
+// and CRC-checks the one blob a window merges.
+//
 // Reads are CRC-verified at block granularity. Raw-codec columns hand out
 // zero-copy spans aliasing the memory mapping (the 24-byte column header
 // keeps 8-byte elements aligned); compressed columns decode just the
@@ -77,6 +81,8 @@ class StoredDataset {
   std::uint64_t rows() const noexcept;
   std::uint64_t raw_bytes() const noexcept;
   std::uint64_t stored_bytes() const noexcept;
+  /// Bytes of the partitions' summary files.
+  std::uint64_t summary_bytes() const noexcept;
   /// Overall time range [min, max] across partitions. Throws when empty.
   std::int64_t min_time_ms() const;
   std::int64_t max_time_ms() const;
@@ -98,26 +104,37 @@ class StoredDataset {
   PartitionData read_rows(std::size_t i, std::size_t row_begin, std::size_t row_end,
                           UserIds user_ids = UserIds::kMaterialize) const;
 
+  /// The summary blob of one slice of partition i — (action, *), or (*, *)
+  /// when `action` is unset — CRC-checked; empty when the slice kept no
+  /// rows. Throws std::runtime_error when the summary file disagrees with
+  /// the footer index.
+  std::vector<std::uint8_t> read_summary(std::size_t i, std::optional<ActionType> action) const;
+
   /// What one window read touched.
   struct WindowScan {
-    std::size_t partitions_scanned = 0;  ///< Opened and read.
-    std::size_t partitions_pruned = 0;   ///< Skipped without opening.
-    std::uint64_t bytes_read = 0;        ///< Stored bytes consumed.
+    std::size_t partitions_scanned = 0;    ///< Opened and read.
+    std::size_t partitions_pruned = 0;     ///< Skipped without opening.
+    std::size_t partitions_summarized = 0; ///< Left to the caller's summary.
+    std::uint64_t bytes_read = 0;          ///< Stored bytes consumed.
+    std::uint64_t rows_decoded = 0;        ///< Rows of the blocks read.
   };
 
   /// Hand `visit` the rows with time in [begin_ms, end_ms), one overlapping
-  /// partition at a time in time order, as spans into the partition read
-  /// (valid only during the call). Partitions outside the window are pruned
-  /// via the manifest, and so is any partition whose footer counts hold no
-  /// row of the (action, user_class) slice — an unset field matches every
-  /// value. Partitions straddling a boundary are trimmed at block
-  /// granularity, then exactly by binary search on the decoded time column.
-  /// The rows still need the slice filter: a partition that holds the slice
-  /// holds other rows too.
+  /// partition at a time in time order, with the partition's index, as spans
+  /// into the partition read (valid only during the call). Partitions
+  /// outside the window are pruned via the manifest, and so is any partition
+  /// whose footer counts hold no row of the (action, user_class) slice — an
+  /// unset field matches every value. A partition wholly inside the window is
+  /// offered to `use_summary` (when given) first; one it accepts is not read
+  /// and counts as summarized. Partitions straddling a boundary are trimmed
+  /// at block granularity, then exactly by binary search on the decoded time
+  /// column. The rows still need the slice filter: a partition that holds
+  /// the slice holds other rows too.
   WindowScan scan_window(std::int64_t begin_ms, std::int64_t end_ms,
                          std::optional<ActionType> action, std::optional<UserClass> user_class,
                          UserIds user_ids,
-                         const std::function<void(const RowColumns&)>& visit) const;
+                         const std::function<void(std::size_t, const RowColumns&)>& visit,
+                         const std::function<bool(std::size_t)>& use_summary = {}) const;
 
   struct WindowLoad : WindowScan {
     Dataset dataset;  ///< Sorted by construction (partitions tile time).

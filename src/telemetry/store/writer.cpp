@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/partition_summary.h"
 #include "obs/metrics.h"
 #include "telemetry/binlog.h"
 #include "telemetry/clock.h"
@@ -281,6 +282,17 @@ void StoreWriter::flush_partition() {
               static_cast<std::streamsize>(data.size()));
     if (!out) throw std::runtime_error("StoreWriter: write failed for " + path.string());
   }
+
+  const core::SummaryFile summary = core::summarize_partition(
+      {times_, latencies_, user_ids_, actions_, user_classes_, statuses_});
+  const std::filesystem::path summary_path = partition_dir / kSummaryFileName;
+  std::ofstream summary_out(summary_path, std::ios::binary | std::ios::trunc);
+  summary_out.write(reinterpret_cast<const char*>(summary.bytes.data()),
+                    static_cast<std::streamsize>(summary.bytes.size()));
+  if (!summary_out) {
+    throw std::runtime_error("StoreWriter: write failed for " + summary_path.string());
+  }
+  footer.summaries = summary.index;
 
   const std::vector<std::uint8_t> footer_bytes = encode_footer(footer);
   const std::filesystem::path footer_path = partition_dir / kFooterFileName;

@@ -9,6 +9,11 @@
 // ingest-to-store spill path — a sorted ASL2 binlog streams frame-by-frame
 // through the writer without ever materializing the dataset (unsorted or
 // legacy ASL1 inputs fall back to a full load + sort first).
+//
+// Every partition also gets its summary file (format.h): the estimator
+// statistics of each (action, *) slice and of (*, *), which store windows
+// merge instead of reading the partition's rows. Building them needs
+// core::Accumulator, so this writer is compiled into autosens_core.
 #pragma once
 
 #include <cstdint>

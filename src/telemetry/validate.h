@@ -27,6 +27,8 @@ struct ValidationOptions {
   /// window_end_ms) are dropped. Disabled by default.
   std::int64_t window_begin_ms = std::numeric_limits<std::int64_t>::min();
   std::int64_t window_end_ms = std::numeric_limits<std::int64_t>::max();
+
+  bool operator==(const ValidationOptions&) const = default;
 };
 
 /// Why validate() drops a record, or kKept. The checks run in this order.
@@ -70,6 +72,16 @@ struct ValidationReport {
 
   std::size_t dropped() const noexcept { return total - kept; }
   /// Count one record's verdict; true when the record is kept.
+  void merge(const ValidationReport& other) noexcept {
+    total += other.total;
+    kept += other.kept;
+    dropped_error_status += other.dropped_error_status;
+    dropped_nonpositive_latency += other.dropped_nonpositive_latency;
+    dropped_excessive_latency += other.dropped_excessive_latency;
+    dropped_nonfinite_latency += other.dropped_nonfinite_latency;
+    dropped_bad_timestamp += other.dropped_bad_timestamp;
+    dropped_out_of_window += other.dropped_out_of_window;
+  }
   bool tally(DropReason reason) noexcept {
     ++total;
     switch (reason) {

@@ -3,12 +3,15 @@
 #
 #   1. `store build` spills a generated binlog into an ASL3 directory;
 #   2. `store info` must render the partition manifest table (per-partition
-#      rows/time range/compression) plus the summary line;
-#   3. `store analyze` streams windowed preference curves off the store; a
-#      --window-days that would overflow the window width is a named flag
-#      error, and the largest accepted one gives a single window;
-#   4. `store analyze --trace-out`: the per-window spans (store.window) must
-#      cover at least 90% of the top-level store_analyze span;
+#      rows/time range/compression) plus the totals and summary-size lines;
+#   3. `store analyze` streams windowed preference curves off the store,
+#      with a summarized column; a --window-days that would overflow the
+#      window width is a named flag error, and the largest accepted one
+#      gives a single window;
+#   4. `store analyze --trace-out`: the per-window spans (store.window, with
+#      their partition, row and summary_fallback attributes and their
+#      store.select / store.merge children) must cover at least 90% of the
+#      top-level store_analyze span, and some window must merge summaries;
 #   5. `store export` -> `store build` must reproduce every partition file
 #      byte-for-byte (the round-trip golden property).
 #
@@ -54,10 +57,20 @@ grep -Eq "^[0-9]+ partitions, $rows rows, " "$WORK/info.out" || {
   cat "$WORK/info.out" >&2
   exit 1
 }
+grep -Eq '^summaries: [0-9.]+ MiB \([0-9.]+% of stored\)$' "$WORK/info.out" || {
+  echo "FAIL: store info does not report the partition summaries' size" >&2
+  cat "$WORK/info.out" >&2
+  exit 1
+}
 
 # Windowed analysis straight off the store.
 "$CLI" store analyze --in "$WORK/store" --window-days 2 > "$WORK/analyze.out"
 grep -q 'NLP@500' "$WORK/analyze.out"
+grep -q 'summarized' "$WORK/analyze.out" || {
+  echo "FAIL: store analyze table lacks the summarized column" >&2
+  cat "$WORK/analyze.out" >&2
+  exit 1
+}
 grep -Eq '^[0-9]+ windows, ' "$WORK/analyze.out" || {
   echo "FAIL: store analyze produced no summary" >&2
   cat "$WORK/analyze.out" >&2
@@ -85,8 +98,9 @@ grep -Eq '^1 windows, ' "$WORK/huge.out" || {
   exit 1
 }
 
-# Every window runs under a store.window span (store.select plus the
-# estimator spans inside), so the top-level span has no unexplained time.
+# Every window runs under a store.window span (store.select, store.merge,
+# the estimator spans and the table row the CLI adds inside), so the
+# top-level span has no unexplained time.
 "$CLI" store analyze --in "$WORK/store" --action SelectMail --window-days 1 \
     --trace-out "$WORK/trace.json" > /dev/null
 "$PYTHON" - "$WORK/trace.json" <<'PY'
@@ -103,14 +117,24 @@ windows = [e for e in children if e["name"] == "store.window"]
 if not windows:
     sys.exit("FAIL: store_analyze has no store.window spans")
 for window in windows:
-    for key in ("partitions_scanned", "partitions_pruned", "bytes_read", "rows_selected"):
+    for key in ("partitions_scanned", "partitions_pruned", "partitions_summarized",
+                "bytes_read", "rows_decoded", "rows_selected", "summary_fallback"):
         if key not in window["args"]:
             sys.exit(f"FAIL: store.window span lacks the {key} attribute")
-selects = [e for e in events
-           if e["name"] == "store.select" and e["args"].get("parent") in
-           {w["args"]["id"] for w in windows}]
+    if window["args"]["summary_fallback"] != "none":
+        sys.exit(f"FAIL: SelectMail windows fell back: {window['args']['summary_fallback']}")
+window_ids = {w["args"]["id"] for w in windows}
+def under_windows(name):
+    return [e for e in events if e["name"] == name and e["args"].get("parent") in window_ids]
+selects = under_windows("store.select")
 if len(selects) != len(windows):
     sys.exit(f"FAIL: {len(selects)} store.select spans under {len(windows)} windows")
+busy = [w for w in windows if int(w["args"]["rows_selected"]) > 0]
+merges = under_windows("store.merge")
+if len(merges) != len(busy):
+    sys.exit(f"FAIL: {len(merges)} store.merge spans under {len(busy)} windows with rows")
+if not any(int(w["args"]["partitions_summarized"]) > 0 for w in windows):
+    sys.exit("FAIL: no window merged a partition summary")
 coverage = sum(e["dur"] for e in children) / max(root["dur"], 1)
 if coverage < 0.9:
     sys.exit(f"FAIL: child spans cover {coverage:.1%} of store_analyze (< 90%)")

@@ -321,9 +321,17 @@ TEST(NetShardTest, ReconnectBudgetRefusesHellosPastTheBudget) {
 /// The "gaps" value of `session` in the /statusz section of the collector
 /// listening on `port` (-1 when absent).
 long statusz_gaps(std::uint16_t port, std::uint64_t session) {
+  // Built with +=, not by concatenating temporaries: GCC 12's -Wrestrict
+  // misfires on the inlined copies of `"literal" + std::to_string(...)` in
+  // Release builds.
+  std::string section = "collector:";
+  section += std::to_string(port);
+  std::string entry = "\"";
+  entry += std::to_string(session);
+  entry += "\": {";
   for (const auto& [name, json] : obs::StatusRegistry::global().render()) {
-    if (name != "collector:" + std::to_string(port)) continue;
-    const auto at = json.find("\"" + std::to_string(session) + "\": {");
+    if (name != section) continue;
+    const auto at = json.find(entry);
     if (at == std::string::npos) return -1;
     const std::string key = "\"gaps\": ";
     const auto gaps = json.find(key, at);

@@ -15,12 +15,14 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/biased.h"
 #include "core/confidence.h"
 #include "core/pipeline.h"
 #include "core/store_analyze.h"
+#include "obs/metrics.h"
 #include "stats/rng.h"
 #include "telemetry/clock.h"
 #include "telemetry/filter.h"
@@ -293,7 +295,9 @@ TEST_F(StorePruneTest, HugeWindowIsOneWindowOverTheWholeStore) {
     EXPECT_EQ(results[0].begin_ms, shifted.min_time_ms());
     EXPECT_EQ(results[0].end_ms, kMax);
     EXPECT_EQ(results[0].records, scrubbed.size());
-    EXPECT_EQ(results[0].partitions_scanned, shifted.partitions().size());
+    // Every partition lies wholly inside the one window: all are summarized.
+    EXPECT_EQ(results[0].partitions_summarized, shifted.partitions().size());
+    EXPECT_EQ(results[0].partitions_scanned, 0u);
     ASSERT_TRUE(results[0].preference.has_value());
     expect_bitwise_equal(core::analyze(scrubbed, options), *results[0].preference);
   }
@@ -344,10 +348,13 @@ class StoreSelectTest : public ::testing::Test {
   std::optional<StoredDataset> opened_;
 };
 
-// The select pushdown against the row-copying oracle: every window of every
-// filter × scrub × confidence × threads combination must report the same
-// records and the same preference and interval bits as cutting the window
-// out of the in-memory dataset, then validate → filtered → analyze.
+// The select pushdown and the summary merge against the row-copying
+// oracle: every window of every filter × scrub × confidence × threads
+// combination must report the same records and the same preference and
+// interval bits as cutting the window out of the in-memory dataset, then
+// validate → filtered → analyze. Unfiltered and action-only scrubbed point
+// windows must really merge summaries; every other combination reads rows
+// and names why.
 TEST_F(StoreSelectTest, WindowsMatchValidateFilterAnalyzeOracle) {
   struct Filter {
     std::optional<ActionType> action;
@@ -358,6 +365,7 @@ TEST_F(StoreSelectTest, WindowsMatchValidateFilterAnalyzeOracle) {
                                        {std::nullopt, UserClass::kBusiness},
                                        {ActionType::kSelectMail, UserClass::kConsumer}};
   std::size_t slice_pruned = 0;
+  std::size_t summarized = 0;
   std::size_t curves = 0;
   std::size_t intervals = 0;
   for (const auto& filter : filters) {
@@ -381,19 +389,36 @@ TEST_F(StoreSelectTest, WindowsMatchValidateFilterAnalyzeOracle) {
                                    std::to_string(threads);
           const auto results = core::analyze_store_windows(store(), options, stream);
           ASSERT_EQ(results.size(), 4u) << what;
+          const bool summaries = !filter.user_class && scrub && !with_confidence;
+          const std::string_view fallback = filter.user_class ? "user_class"
+                                            : !scrub          ? "no_scrub"
+                                            : with_confidence ? "confidence"
+                                                              : "none";
           for (const auto& w : results) {
             const std::string at = what + " window " + std::to_string(w.begin_ms);
-            EXPECT_EQ(w.partitions_scanned + w.partitions_pruned, store().partitions().size())
+            EXPECT_EQ(w.partitions_scanned + w.partitions_pruned + w.partitions_summarized,
+                      store().partitions().size())
                 << at;
+            EXPECT_EQ(w.summary_fallback, fallback) << at;
+            // Every 1.5-day window holds at least one whole 8-hour shard.
+            if (summaries) {
+              EXPECT_GT(w.partitions_summarized, 0u) << at;
+            } else {
+              EXPECT_EQ(w.partitions_summarized, 0u) << at;
+            }
+            summarized += w.partitions_summarized;
             const auto load = store().load_window(w.begin_ms, w.end_ms);
             if (!filter.action && !filter.user_class) {
               EXPECT_EQ(w.partitions_pruned, load.partitions_pruned) << at;
             }
-            if (w.partitions_pruned == load.partitions_pruned) {
-              EXPECT_EQ(w.bytes_read, load.bytes_read) << at;
-            } else {
-              EXPECT_LT(w.bytes_read, load.bytes_read) << at;
+            if (w.partitions_pruned != load.partitions_pruned) {
               slice_pruned += w.partitions_pruned - load.partitions_pruned;
+            }
+            // Byte counts compare only when both read the same partitions.
+            if (w.partitions_summarized == 0 && w.partitions_pruned == load.partitions_pruned) {
+              EXPECT_EQ(w.bytes_read, load.bytes_read) << at;
+            } else if (w.partitions_summarized == 0) {
+              EXPECT_LT(w.bytes_read, load.bytes_read) << at;
             }
 
             Dataset expect = window_of(dataset_, w.begin_ms, w.end_ms);
@@ -440,6 +465,7 @@ TEST_F(StoreSelectTest, WindowsMatchValidateFilterAnalyzeOracle) {
     }
   }
   EXPECT_GT(slice_pruned, 0u) << "no partition was pruned by its footer slice counts";
+  EXPECT_GT(summarized, 0u) << "no window merged a partition summary";
   EXPECT_GT(curves, 0u) << "no window produced a curve to compare";
   EXPECT_GT(intervals, 0u) << "no window produced intervals to compare";
 }
@@ -453,7 +479,7 @@ TEST_F(StoreSelectTest, PartitionWithoutTheSliceIsPrunedUnopened) {
   const auto window = store().scan_window(2 * kMillisPerDay, 3 * kMillisPerDay,
                                           ActionType::kSelectMail, std::nullopt,
                                           StoredDataset::UserIds::kCheckOnly,
-                                          [](const telemetry::RowColumns&) { FAIL(); });
+                                          [](std::size_t, const telemetry::RowColumns&) { FAIL(); });
   EXPECT_EQ(window.partitions_scanned, 0u);
   EXPECT_EQ(window.partitions_pruned, store().partitions().size());
   EXPECT_EQ(window.bytes_read, 0u);
@@ -461,7 +487,7 @@ TEST_F(StoreSelectTest, PartitionWithoutTheSliceIsPrunedUnopened) {
   std::size_t rows = 0;
   const auto search = store().scan_window(
       2 * kMillisPerDay, 3 * kMillisPerDay, ActionType::kSearch, UserClass::kConsumer,
-      StoredDataset::UserIds::kCheckOnly, [&](const telemetry::RowColumns& part) {
+      StoredDataset::UserIds::kCheckOnly, [&](std::size_t, const telemetry::RowColumns& part) {
         EXPECT_TRUE(part.user_ids.empty());
         rows += part.size();
       });
@@ -470,10 +496,19 @@ TEST_F(StoreSelectTest, PartitionWithoutTheSliceIsPrunedUnopened) {
 }
 
 TEST_F(StoreSelectTest, CorruptUserColumnStillThrows) {
-  // No window selection reads the user column, but every block of it is
-  // still CRC-checked: one flipped byte fails the analysis.
-  const auto& first = store().partitions().front();
-  const auto path = dir_ / first.dir_name / "user.col";
+  // No window selection reads the user column, but every block of it that a
+  // window reads is still CRC-checked: one flipped byte fails the analysis.
+  // A partition wholly inside a window is merged from its summary, not
+  // read, so the byte is flipped in the partition that straddles the first
+  // window's end, whose rows that window reads.
+  constexpr std::int64_t kWindowMs = 3 * kMillisPerDay / 2;
+  const std::int64_t cut = store().min_time_ms() + kWindowMs;
+  const auto& partitions = store().partitions();
+  const auto straddling = std::find_if(partitions.begin(), partitions.end(), [&](const auto& p) {
+    return p.min_time_ms < cut && p.max_time_ms >= cut;
+  });
+  ASSERT_NE(straddling, partitions.end());
+  const auto path = dir_ / straddling->dir_name / "user.col";
   {
     std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
     file.seekg(static_cast<std::streamoff>(telemetry::store::kColumnHeaderBytes + 3));
@@ -488,12 +523,175 @@ TEST_F(StoreSelectTest, CorruptUserColumnStillThrows) {
   options.threads = 1;
   for (const bool with_confidence : {false, true}) {
     core::StoreStreamOptions stream;
+    stream.window_ms = kWindowMs;
     stream.action = ActionType::kSelectMail;
     stream.with_confidence = with_confidence;
     stream.confidence.replicates = 2;
     EXPECT_THROW(core::analyze_store_windows(corrupted, options, stream), std::runtime_error)
         << "confidence " << with_confidence;
   }
+}
+
+/// Four days of 2400 rows, 36 s apart, cut into 400-row (4-hour) shards,
+/// shaped so that stitching windows from summaries meets every awkward
+/// joint: a duplicate-time run split by a shard cut (rows 395..404 of each
+/// day), a run that fills a whole shard and spills into both neighbours
+/// (rows 790..1210: shard 2 is one run), and on day 1 a shard with no
+/// SelectMail row (pruned for that slice) next to one whose SelectMail rows
+/// the scrub all drops (kept nothing). Error, NaN and out-of-range rows are
+/// planted throughout.
+Dataset stitch_dataset() {
+  Dataset d;
+  for (std::int64_t day = 0; day < 4; ++day) {
+    for (std::int64_t k = 0; k < 2400; ++k) {
+      const auto i = static_cast<std::uint64_t>(day * 2400 + k);
+      std::int64_t step = k;
+      if (k >= 395 && k < 405) step = 395;
+      if (k >= 790 && k < 1211) step = 790;
+      auto action = static_cast<ActionType>(i % telemetry::kActionTypeCount);
+      ActionStatus status = i % 41 == 0 ? ActionStatus::kError : ActionStatus::kSuccess;
+      double latency = 60.0 + static_cast<double>((i * 131) % 2700);
+      if (i % 47 == 5) latency = std::numeric_limits<double>::quiet_NaN();
+      if (i % 53 == 7) latency = 90'000.0;
+      if (day == 1 && k >= 1600 && k < 2000 && action == ActionType::kSelectMail) {
+        action = ActionType::kOther;
+      }
+      if (day == 1 && k >= 2000 && action == ActionType::kSelectMail) {
+        status = ActionStatus::kError;
+      }
+      d.add({.time_ms = day * kMillisPerDay + step * 36'000,
+             .user_id = 900 + i % 53,
+             .latency_ms = latency,
+             .action = action,
+             .user_class = static_cast<UserClass>(i % telemetry::kUserClassCount),
+             .status = status});
+    }
+  }
+  d.sort_by_time();
+  return d;
+}
+
+class StoreStitchTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dataset_ = stitch_dataset();
+    const auto dir = fresh_dir("store_stitch");
+    build_store(dataset_, dir.string(),
+                StoreOptions{.partition_rows = 400, .block_rows = 64, .compress = true});
+    opened_ = StoredDataset::open(dir.string());
+  }
+
+  const StoredDataset& store() const { return *opened_; }
+
+  Dataset dataset_;
+  std::optional<StoredDataset> opened_;
+};
+
+TEST_F(StoreStitchTest, StitchedWindowsMatchTheInMemoryOracle) {
+  ASSERT_EQ(store().min_time_ms(), 0);
+  // The fixture's joints are really in the store.
+  std::size_t split_runs = 0;
+  std::size_t one_run = 0;
+  for (std::size_t i = 0; i + 1 < store().partitions().size(); ++i) {
+    const auto& p = store().partitions()[i];
+    split_runs += p.max_time_ms == store().partitions()[i + 1].min_time_ms ? 1 : 0;
+    one_run += p.min_time_ms == p.max_time_ms ? 1 : 0;
+  }
+  EXPECT_GE(split_runs, 8u);
+  EXPECT_EQ(one_run, 4u);
+
+  constexpr std::int64_t kHour = telemetry::kMillisPerHour;
+  const std::vector<std::int64_t> widths = {
+      kMillisPerDay,       // Edges on day (and partition) boundaries.
+      4 * kHour,           // Edges on 4-hour shard boundaries.
+      kHour,               // No window holds a whole partition.
+      29 * kHour,          // Edges anywhere.
+      std::numeric_limits<std::int64_t>::max()};
+  std::size_t summarized = 0;
+  std::size_t no_full_partition = 0;
+  std::size_t aligned = 0;
+  std::size_t curves = 0;
+  for (const std::optional<ActionType> action :
+       {std::optional<ActionType>(), std::optional(ActionType::kSelectMail)}) {
+    for (const std::int64_t width : widths) {
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        core::AutoSensOptions options;
+        options.threads = threads;
+        core::StoreStreamOptions stream;
+        stream.window_ms = width;
+        stream.action = action;
+        const std::string what = "action " + std::to_string(action.has_value()) + " width " +
+                                 std::to_string(width) + " threads " + std::to_string(threads);
+        for (const auto& w : core::analyze_store_windows(store(), options, stream)) {
+          const std::string at = what + " window " + std::to_string(w.begin_ms);
+          EXPECT_EQ(w.summary_fallback, "none") << at;
+          EXPECT_EQ(w.partitions_scanned + w.partitions_pruned + w.partitions_summarized,
+                    store().partitions().size())
+              << at;
+          summarized += w.partitions_summarized;
+          if (w.partitions_summarized == 0 && w.partitions_scanned > 0) ++no_full_partition;
+          if (w.partitions_summarized > 0 && w.partitions_scanned == 0) ++aligned;
+
+          Dataset expect = telemetry::validate(window_of(dataset_, w.begin_ms, w.end_ms)).dataset;
+          if (action) expect = expect.filtered(telemetry::by_action(*action));
+          ASSERT_EQ(w.records, expect.size()) << at;
+          std::optional<core::PreferenceResult> point;
+          if (!expect.empty()) {
+            try {
+              point = core::analyze(expect, options);
+            } catch (const std::invalid_argument&) {
+            }
+          }
+          ASSERT_EQ(w.preference.has_value(), point.has_value()) << at;
+          if (!point) continue;
+          ++curves;
+          expect_bitwise_equal(*point, *w.preference);
+        }
+      }
+    }
+  }
+  EXPECT_GT(summarized, 0u);
+  EXPECT_GT(no_full_partition, 0u) << "no window without a whole partition";
+  EXPECT_GT(aligned, 0u) << "no window whose edges are partition boundaries";
+  EXPECT_GT(curves, 0u);
+}
+
+TEST_F(StoreStitchTest, SummarizedWindowsCountTheRowPathsScrubVerdicts) {
+  // The autosens_validate_* counters see the same verdicts whether a window
+  // merges summaries or reads rows (here forced by a non-default geometry).
+  const auto counters = [] {
+    std::vector<std::uint64_t> values;
+    for (const char* name :
+         {"autosens_validate_records_total", "autosens_validate_records_kept_total",
+          "autosens_validate_dropped_total{reason=\"error_status\"}",
+          "autosens_validate_dropped_total{reason=\"excessive_latency\"}",
+          "autosens_validate_dropped_total{reason=\"nonfinite_latency\"}"}) {
+      values.push_back(obs::registry().counter(name, "").value());
+    }
+    return values;
+  };
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  const auto deltas = [&](const core::AutoSensOptions& options) {
+    core::StoreStreamOptions stream;
+    stream.window_ms = 29 * telemetry::kMillisPerHour;
+    stream.action = ActionType::kSelectMail;
+    const auto before = counters();
+    const auto results = core::analyze_store_windows(store(), options, stream);
+    auto after = counters();
+    for (std::size_t i = 0; i < after.size(); ++i) after[i] -= before[i];
+    return std::pair(after, results.front().summary_fallback);
+  };
+  core::AutoSensOptions options;
+  options.threads = 1;
+  const auto [merged, merged_fallback] = deltas(options);
+  options.alpha_bin_width_ms = 50.0;
+  const auto [rows, rows_fallback] = deltas(options);
+  obs::set_enabled(was_enabled);
+  EXPECT_EQ(merged_fallback, "none");
+  EXPECT_EQ(rows_fallback, "geometry");
+  EXPECT_GT(merged[0], 0u);
+  EXPECT_EQ(merged, rows);
 }
 
 }  // namespace

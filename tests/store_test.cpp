@@ -115,6 +115,11 @@ TEST(StoreFooterTest, FooterRoundtrip) {
     footer.columns[c].block_crcs = {0xdeadbeef, 0xcafebabe};
     footer.columns[c].stored_bytes = 33;
   }
+  // The summary index accounts for the same rows: 7 dropped, 93 kept.
+  footer.summaries.report = {.total = 100, .kept = 93, .dropped_error_status = 7};
+  footer.summaries.by_action[0] = {.kept_rows = 55, .bytes = 300, .crc = 0x01020304};
+  footer.summaries.by_action[2] = {.kept_rows = 38, .bytes = 200, .crc = 0x0a0b0c0d};
+  footer.summaries.all = {.kept_rows = 93, .bytes = 450, .crc = 0xfeedface};
   const auto bytes = encode_footer(footer);
   const PartitionFooter back = decode_footer(bytes);
   EXPECT_EQ(back.rows, footer.rows);
@@ -124,6 +129,12 @@ TEST(StoreFooterTest, FooterRoundtrip) {
   EXPECT_EQ(back.blocks.size(), 2u);
   EXPECT_EQ(back.columns[0].block_bytes, footer.columns[0].block_bytes);
   EXPECT_EQ(back.columns[0].block_crcs, footer.columns[0].block_crcs);
+  EXPECT_EQ(back.summaries.report.kept, 93u);
+  EXPECT_EQ(back.summaries.report.dropped_error_status, 7u);
+  EXPECT_EQ(back.summaries.by_action[2].crc, 0x0a0b0c0du);
+  EXPECT_EQ(back.summaries.all.bytes, 450u);
+  EXPECT_EQ(back.summaries.offset(ActionType::kSearch), 4u + 300u);
+  EXPECT_EQ(back.summaries.file_bytes(), 4u + 300u + 200u + 450u);
 
   auto corrupt = bytes;
   corrupt[10] ^= 0xff;
@@ -146,6 +157,7 @@ TEST(StoreFooterTest, SliceCountsMustSumToRows) {
     column.block_crcs = {0};
     column.stored_bytes = 80;
   }
+  footer.summaries.report = {.total = 10, .kept = 0, .dropped_error_status = 10};
   footer.slice_rows[1][0] = 10;
   EXPECT_NO_THROW(decode_footer(encode_footer(footer)));
   footer.slice_rows[1][0] = 9;

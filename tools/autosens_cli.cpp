@@ -916,9 +916,15 @@ int cmd_store_info(const cli::Args& args) {
                            ? static_cast<double>(store.stored_bytes()) /
                                  static_cast<double>(store.raw_bytes())
                            : 0.0;
+  const double summary_share = store.stored_bytes() > 0
+                                   ? 100.0 * static_cast<double>(store.summary_bytes()) /
+                                         static_cast<double>(store.stored_bytes())
+                                   : 0.0;
   std::cout << store.partitions().size() << " partitions, " << store.rows() << " rows, "
             << mib(store.raw_bytes()) << " MiB raw, " << mib(store.stored_bytes())
-            << " MiB stored (ratio " << report::Table::num(ratio, 3) << ")\n";
+            << " MiB stored (ratio " << report::Table::num(ratio, 3) << ")\n"
+            << "summaries: " << mib(store.summary_bytes()) << " MiB ("
+            << report::Table::num(summary_share, 1) << "% of stored)\n";
   return 0;
 }
 
@@ -951,9 +957,8 @@ int cmd_store_analyze(const cli::Args& args) {
   stream.confidence.replicates = args.get_int<std::size_t>("replicates", 50);
   stream.probe_latencies = {500.0, 750.0, 1000.0, 1500.0, 2000.0};
 
-  obs::Span span("store_analyze");
-  report::Table table({"window (day)", "records", "scanned", "pruned", "NLP@500",
-                       "NLP@1000", "NLP@2000"});
+  report::Table table({"window (day)", "records", "scanned", "pruned", "summarized",
+                       "NLP@500", "NLP@1000", "NLP@2000"});
   std::size_t windows = 0;
   std::uint64_t bytes_read = 0;
   const auto nlp_at = [](const std::optional<core::PreferenceResult>& preference,
@@ -961,17 +966,22 @@ int cmd_store_analyze(const cli::Args& args) {
     if (!preference.has_value() || !preference->covers(latency)) return "-";
     return report::Table::num(preference->at(latency));
   };
-  core::analyze_store_windows(store, options, stream, [&](const core::StoreWindowResult& w) {
-    ++windows;
-    bytes_read += w.bytes_read;
-    std::string window = std::to_string(telemetry::day_index(w.begin_ms));
-    window += "..";
-    window += std::to_string(telemetry::day_index(w.end_ms - 1));
-    table.add_row({std::move(window), std::to_string(w.records),
-                   std::to_string(w.partitions_scanned), std::to_string(w.partitions_pruned),
-                   nlp_at(w.preference, 500.0), nlp_at(w.preference, 1000.0),
-                   nlp_at(w.preference, 2000.0)});
-  });
+  {
+    // The printing below stays outside the span: the span is the analysis,
+    // whose windows (and the rows they add to the table) are all spanned.
+    obs::Span span("store_analyze");
+    core::analyze_store_windows(store, options, stream, [&](const core::StoreWindowResult& w) {
+      ++windows;
+      bytes_read += w.bytes_read;
+      std::string window = std::to_string(telemetry::day_index(w.begin_ms));
+      window += "..";
+      window += std::to_string(telemetry::day_index(w.end_ms - 1));
+      table.add_row({std::move(window), std::to_string(w.records),
+                     std::to_string(w.partitions_scanned), std::to_string(w.partitions_pruned),
+                     std::to_string(w.partitions_summarized), nlp_at(w.preference, 500.0),
+                     nlp_at(w.preference, 1000.0), nlp_at(w.preference, 2000.0)});
+    });
+  }
   table.print(std::cout);
   std::cout << windows << " windows, " << mib(bytes_read) << " MiB read of "
             << mib(store.stored_bytes()) << " MiB stored\n";

@@ -41,7 +41,7 @@ targets=(wire_test net_pipeline_test fault_test wire_fuzz_test
          net_udp_test parallel_test
          parallel_determinism_test obs_metrics_test obs_trace_test
          obs_log_test obs_server_test simd_kernels_test simd_dispatch_test
-         store_test store_prune_test store_soak_test
+         store_test store_prune_test store_soak_test store_summary_test
          dataset_test filter_test validate_test
          pipeline_test streaming_test confounder_time_test confounder_dow_test
          unbiased_test slices_test confidence_test estimator_core_test
