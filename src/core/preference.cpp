@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "core/simd.h"
 #include "obs/trace.h"
 #include "stats/savitzky_golay.h"
 
@@ -102,7 +101,10 @@ PreferenceResult compute_preference(const stats::Histogram& biased,
     return smoother.smooth(signal);
   }();
   // Ratios are nonnegative; smoothing overshoot below zero is clamped.
-  simd::clamp_min(smoothed, 0.0);
+  // `v < 0 ? 0 : v` (not std::max) lets a NaN pass through unchanged.
+  for (double& v : smoothed) {
+    if (v < 0.0) v = 0.0;
+  }
 
   obs::Span normalize_span("nlp_normalize");
 
@@ -129,13 +131,11 @@ PreferenceResult compute_preference(const stats::Histogram& biased,
   }
 
   result.normalized.assign(bins, 0.0);
-  // Copy the supported span then divide in place (a true division, so the
-  // rounding matches the scalar element-by-element loop).
-  std::copy(smoothed.begin(), smoothed.end(),
-            result.normalized.begin() + static_cast<std::ptrdiff_t>(result.support_begin));
-  simd::divide(std::span<double>(result.normalized).subspan(result.support_begin,
-                                                            smoothed.size()),
-               ref_value);
+  // A true division, not a multiply by the reciprocal: the curve's bits
+  // depend on it.
+  for (std::size_t i = 0; i < smoothed.size(); ++i) {
+    result.normalized[result.support_begin + i] = smoothed[i] / ref_value;
+  }
   return result;
 }
 

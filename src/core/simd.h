@@ -1,27 +1,24 @@
-// Runtime-dispatched SIMD kernels for the dense analysis loops (histogram
-// binning, FIR smoothing, element-wise maps, and reductions).
+// Runtime-dispatched latency binning: the one per-row vector kernel.
 //
 // Dispatch mirrors the PCLMULQDQ CRC pattern in telemetry/binlog.cpp:
 // `__builtin_cpu_supports` picks an `__attribute__((target("avx2")))` variant
 // at runtime, the scalar fallback is always compiled (and always tested), and
-// nothing here requires -mavx2 on the base build.
+// nothing here requires -mavx2 on the base build. Only `bin_indices` has a
+// vector twin: it is the per-row kernel of the estimator core's fill, and a
+// Release perfbench A/B showed it is the only one whose AVX2 path beats
+// scalar end to end (DESIGN.md §6d). Everything else runs on bin-sized arrays.
 //
-// The determinism contract (DESIGN.md "SIMD kernels & dispatch"): every
-// kernel produces BIT-IDENTICAL results on the scalar and AVX2 paths.  Three
-// rules make that hold:
+// The determinism contract (DESIGN.md §6d): every function here produces
+// BIT-IDENTICAL results on the scalar and AVX2 paths. Three rules make that
+// hold:
 //
 //  1. Bin selection uses the exact same arithmetic in both paths — one
 //     correctly-rounded division per element (`vdivpd` == `divsd`), never a
 //     reciprocal multiply, so boundary values land in the same bin.
-//  2. Weighted accumulation into shared bins happens in element order in
-//     both paths (the vector path only vectorizes the index math, the adds
-//     replay in order).  Unit-weight fills may use per-lane partial
-//     histograms because integer-valued counts add exactly in any order.
-//     Weight totals are a rule-3 reduction (sum_interleaved), not a serial
-//     left fold.
-//  3. Reductions whose order matters (sums of arbitrary doubles) are defined
-//     with a fixed 4-lane interleaved accumulation that both paths implement
-//     literally; order-insensitive reductions (min/max) need no such care.
+//  2. Fills add into bins in element order: the vector path only computes
+//     the indices, a block at a time.
+//  3. Weight totals use the fixed 4-lane interleaved reduction
+//     (sum_interleaved), not a serial left fold.
 //
 // Level selection: AVX2 when the CPU supports it, unless the
 // AUTOSENS_FORCE_SCALAR environment variable (1/true/yes/on) or a test
@@ -64,15 +61,16 @@ void set_level_override(std::optional<Level> level) noexcept;
 void publish_level();
 
 // ---------------------------------------------------------------------------
-// Histogram binning. All fill kernels share Histogram::bin_index semantics:
+// Histogram binning. All fills share Histogram::bin_index semantics:
 // offset = (v - lo) / width; NaN and offsets <= 0 clamp to bin 0, offsets at
-// or beyond the upper edge clamp to the last bin.
+// or beyond the upper edge clamp to the last bin. Bin counts must be >= 1
+// and < 2^31.
 
 /// Scalar reference bin index — the single definition of the binning
-/// semantics, shared by every fill kernel below and by
-/// stats::Histogram::bin_index. NaN and non-positive offsets return 0
-/// (the cast of a NaN or huge offset would otherwise be UB); offsets at or
-/// beyond the upper edge return counts_size - 1. Requires counts_size >= 1.
+/// semantics, shared by bin_indices and by stats::Histogram::bin_index.
+/// NaN and non-positive offsets return 0 (the cast of a NaN or huge offset
+/// would otherwise be UB); offsets at or beyond the upper edge return
+/// counts_size - 1. Requires counts_size >= 1.
 inline std::size_t bin_index_scalar(double value, double lo, double width,
                                     std::size_t counts_size) noexcept {
   const double offset = (value - lo) / width;
@@ -81,88 +79,29 @@ inline std::size_t bin_index_scalar(double value, double lo, double width,
   return static_cast<std::size_t>(offset);
 }
 
-/// Clamped bin index of each value (identical to Histogram::bin_index).
-/// `counts_size` must be >= 1 and < 2^31; `out.size() >= values.size()`.
+/// Clamped bin index of each value (identical to Histogram::bin_index);
+/// `out.size() >= values.size()`. The one dispatched kernel.
 void bin_indices(std::span<const double> values, double lo, double width,
                  std::size_t counts_size, std::span<std::uint32_t> out) noexcept;
 
-/// counts[bin(v)] += 1.0 for every value. The AVX2 path accumulates into
-/// per-lane partial histograms merged at the end — exact for integer-valued
-/// counts, so the result is bit-identical to the scalar loop.
+/// counts[bin(v)] += 1.0 for every value.
 void histogram_fill(std::span<const double> values, double lo, double width,
                     std::span<double> counts) noexcept;
 
-/// counts[bin(v)] += weight for every value (constant weight). Adds replay
-/// in element order in both paths (repeated addition of a non-integer weight
-/// is order-sensitive), only the index math is vectorized.
+/// counts[bin(v)] += weight for every value (constant weight).
 void histogram_fill_const(std::span<const double> values, double weight, double lo,
                           double width, std::span<double> counts) noexcept;
 
-/// counts[bin(values[i])] += weights[i], accumulating in element order in
-/// both paths. Returns the weight total computed with sum_interleaved (the
-/// fixed 4-lane reduction, bit-identical across dispatch levels) rather than
-/// a serial left fold: the serial chain's add latency would bound the whole
-/// fill. The total can differ from an elementwise left fold in the last ulp.
-/// Spans must be the same length.
+/// counts[bin(values[i])] += weights[i]. Returns sum_interleaved(weights),
+/// which can differ from an elementwise left fold in the last ulp. Spans
+/// must be the same length.
 double histogram_fill_weighted(std::span<const double> values,
                                std::span<const double> weights, double lo,
                                double width, std::span<double> counts) noexcept;
 
-// ---------------------------------------------------------------------------
-// FIR convolution (Savitzky–Golay interior).
-
-/// Valid-mode FIR convolution: out[i] = sum_j kernel[j] * signal[i + j] for
-/// i in [0, signal.size() - kernel.size()]. Each output accumulates over j
-/// serially with separate multiply and add (no FMA contraction), so every
-/// lane of the AVX2 path rounds exactly like the scalar loop.
-/// Requires signal.size() >= kernel.size() and out.size() >=
-/// signal.size() - kernel.size() + 1.
-void fir_convolve_valid(std::span<const double> signal, std::span<const double> kernel,
-                        std::span<double> out) noexcept;
-
-// ---------------------------------------------------------------------------
-// Element-wise maps (independent per element, so trivially bit-identical).
-
-/// values[i] *= factor.
-void scale(std::span<double> values, double factor) noexcept;
-
-/// values[i] /= divisor (kept as a division — not a reciprocal multiply —
-/// to match scalar rounding).
-void divide(std::span<double> values, double divisor) noexcept;
-
-/// values[i] = max(values[i], floor_value). NaN inputs are left unchanged.
-void clamp_min(std::span<double> values, double floor_value) noexcept;
-
-/// dst[i] += src[i]. Spans must be the same length.
-void add_assign(std::span<double> dst, std::span<const double> src) noexcept;
-
-// ---------------------------------------------------------------------------
-// Reductions.
-
-struct MinMax {
-  double min = 0.0;
-  double max = 0.0;
-};
-
-/// Min and max of a non-empty span (NaN entries are ignored; if every entry
-/// is NaN both fields are NaN). Order-insensitive, so the AVX2 path is
-/// bit-identical by construction.
-MinMax minmax(std::span<const double> values) noexcept;
-
 /// Sum with a fixed 4-lane interleaved accumulation: lane k sums elements
-/// k, k+4, k+8, ...; lanes fold left-to-right, then the tail (< 4 elements)
-/// adds serially. Both paths implement this order literally, so the result
-/// is bit-identical across scalar/AVX2 (but differs from a plain serial sum).
+/// k, k+4, k+8, ...; lanes fold ((l0+l1)+l2)+l3, then the tail (< 4
+/// elements) adds serially. Differs from a plain serial sum.
 double sum_interleaved(std::span<const double> values) noexcept;
-
-/// sum |a[i]/a_total - b[i]/b_total| with the interleaved accumulation
-/// order of sum_interleaved. Feeds stats::total_variation_distance.
-double l1_prob_diff(std::span<const double> a, std::span<const double> b,
-                    double a_total, double b_total) noexcept;
-
-/// Bhattacharyya coefficient sum sqrt((a[i]/a_total) * (b[i]/b_total)) with
-/// the interleaved accumulation order. Feeds stats::hellinger_distance.
-double bhattacharyya(std::span<const double> a, std::span<const double> b,
-                     double a_total, double b_total) noexcept;
 
 }  // namespace autosens::core::simd

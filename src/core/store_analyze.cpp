@@ -9,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/biased.h"
 #include "core/partition_summary.h"
 #include "core/pipeline.h"
 #include "obs/trace.h"
@@ -318,16 +317,6 @@ std::vector<StoreWindowResult> analyze_store_windows(
   analyze_store_windows(store, options, stream,
                         [&](const StoreWindowResult& r) { results.push_back(r); });
   return results;
-}
-
-stats::Histogram scan_biased_histogram(const telemetry::store::StoredDataset& store,
-                                       const AutoSensOptions& options) {
-  stats::Histogram total = make_latency_histogram(options);
-  for (std::size_t i = 0; i < store.partitions().size(); ++i) {
-    const telemetry::store::PartitionData part = store.read_partition(i);
-    total.merge(biased_histogram(part.latencies(), options));
-  }
-  return total;
 }
 
 }  // namespace autosens::core

@@ -49,7 +49,6 @@
 #include "core/confidence.h"
 #include "core/options.h"
 #include "core/preference.h"
-#include "stats/histogram.h"
 #include "telemetry/clock.h"
 #include "telemetry/record.h"
 #include "telemetry/store/store.h"
@@ -117,12 +116,5 @@ void analyze_store_windows(const telemetry::store::StoredDataset& store,
 std::vector<StoreWindowResult> analyze_store_windows(
     const telemetry::store::StoredDataset& store, const AutoSensOptions& options,
     const StoreStreamOptions& stream = {});
-
-/// The biased latency distribution of the whole store, filled one partition
-/// at a time and merged in partition order. Unit-weight bin counts are
-/// integer sums, so this is bit-identical to biased_histogram() over the
-/// fully loaded dataset while touching O(partition) memory.
-stats::Histogram scan_biased_histogram(const telemetry::store::StoredDataset& store,
-                                       const AutoSensOptions& options);
 
 }  // namespace autosens::core

@@ -91,7 +91,7 @@ void Histogram::set_count(std::size_t i, double weight) noexcept {
 }
 
 void Histogram::scale(double factor) noexcept {
-  core::simd::scale(counts_, factor);
+  for (double& count : counts_) count *= factor;
   total_ *= factor;
 }
 
@@ -99,7 +99,7 @@ void Histogram::merge(const Histogram& other) {
   if (other.lo_ != lo_ || other.width_ != width_ || other.counts_.size() != counts_.size()) {
     throw std::invalid_argument("Histogram::merge: geometry mismatch");
   }
-  core::simd::add_assign(counts_, other.counts_);
+  for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
   total_ += other.total_;
 }
 

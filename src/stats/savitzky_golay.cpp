@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "core/simd.h"
 #include "stats/linalg.h"
 
 namespace autosens::stats {
@@ -68,11 +67,14 @@ std::vector<double> SavitzkyGolay::smooth(std::span<const double> signal) const 
 
   const std::size_t h = window / 2;
   std::vector<double> out(n, 0.0);
-  // Interior: valid-mode FIR convolution with the precomputed kernel
-  // (out[h + t] = sum_j kernel[j] * signal[t + j]), vectorized behind the
-  // runtime dispatch layer.
-  core::simd::fir_convolve_valid(signal, kernel_,
-                                 std::span<double>(out).subspan(h, n - window + 1));
+  // Interior: valid-mode FIR convolution with the precomputed kernel,
+  // out[h + t] = sum_j kernel[j] * signal[t + j], accumulated over j in
+  // order with separate multiply and add (no FMA contraction).
+  for (std::size_t t = 0; t + window <= n; ++t) {
+    double sum = 0.0;
+    for (std::size_t j = 0; j < window; ++j) sum += kernel_[j] * signal[t + j];
+    out[h + t] = sum;
+  }
   // Edges ("interp" mode): fit one polynomial to each terminal window and
   // evaluate it at the uncovered positions.
   std::vector<double> x(window);

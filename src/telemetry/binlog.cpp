@@ -501,26 +501,6 @@ void write_binlog_file(const std::string& path, const Dataset& dataset, std::siz
   write_binlog(out, dataset, batch_size);
 }
 
-void write_binlog_v1(std::ostream& out, const Dataset& dataset, std::size_t batch_size) {
-  if (batch_size == 0) throw std::invalid_argument("write_binlog: batch_size must be nonzero");
-  out.write(kMagicV1.data(), kMagicV1.size());
-  // Gather one batch at a time from the columns instead of materializing the
-  // whole dataset as records up front.
-  std::vector<ActionRecord> batch;
-  batch.reserve(std::min(batch_size, dataset.size()));
-  for (std::size_t start = 0; start < dataset.size(); start += batch_size) {
-    const std::size_t count = std::min(batch_size, dataset.size() - start);
-    batch.clear();
-    for (std::size_t k = start; k < start + count; ++k) batch.push_back(dataset[k]);
-    const auto payload = codec::encode_batch(batch);
-    put_u32(out, static_cast<std::uint32_t>(payload.size()));
-    out.write(reinterpret_cast<const char*>(payload.data()),
-              static_cast<std::streamsize>(payload.size()));
-    put_u32(out, codec::crc32(payload));
-  }
-  if (!out) throw std::runtime_error("write_binlog: stream write failed");
-}
-
 Dataset read_binlog_buffer(std::span<const std::uint8_t> data, const IngestOptions& options) {
   const BinlogVersion version = binlog_version(data);
   const auto frames = walk_binlog_frames(data);

@@ -25,8 +25,7 @@
 // destination slice is precomputed from the frame headers alone). Latency
 // round-trips exactly (raw double bits).
 //
-// write_binlog emits ASL2; read_binlog reads both. write_binlog_v1 is kept
-// for compatibility fixtures and parity tests.
+// write_binlog emits ASL2; read_binlog reads both.
 #pragma once
 
 #include <cstdint>
@@ -105,9 +104,6 @@ void write_binlog_frames(std::ostream& out, std::span<const std::int64_t> times,
 void write_binlog(std::ostream& out, const Dataset& dataset, std::size_t batch_size = 4096);
 void write_binlog_file(const std::string& path, const Dataset& dataset,
                        std::size_t batch_size = 4096);
-
-/// Write the legacy ASL1 row format (delta/varint batches).
-void write_binlog_v1(std::ostream& out, const Dataset& dataset, std::size_t batch_size = 4096);
 
 /// Read a binary log (either magic). Throws std::runtime_error on bad
 /// magic, CRC mismatch, or truncation (these formats are checksummed;

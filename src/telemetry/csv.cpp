@@ -70,32 +70,6 @@ LineParse parse_csv_fields(const std::string_view fields[6], ActionRecord& recor
   return LineParse::kRecord;
 }
 
-/// Per-line parser for the getline entry point (and the reference the
-/// parity tests hold the fused chunk parser to).
-LineParse parse_csv_line(std::string_view line, ActionRecord& record, std::string& error) {
-  const std::string_view trimmed = trim(line);
-  if (trimmed.empty()) return LineParse::kSkip;
-
-  std::string_view fields[6];
-  std::size_t field_count = 0;
-  std::size_t start = 0;
-  for (;;) {
-    const std::size_t comma = trimmed.find(',', start);
-    const std::string_view field = comma == std::string_view::npos
-                                       ? trimmed.substr(start)
-                                       : trimmed.substr(start, comma - start);
-    if (field_count < 6) fields[field_count] = field;
-    ++field_count;
-    if (comma == std::string_view::npos) break;
-    start = comma + 1;
-  }
-  if (field_count != 6) {
-    error = "expected 6 fields, got " + std::to_string(field_count);
-    return LineParse::kError;
-  }
-  return parse_csv_fields(fields, record, error);
-}
-
 /// Writer-order fast path: the overwhelmingly common line is exactly what
 /// write_csv emits — six fields, no padding whitespace, no CR. from_chars
 /// doubles as the digit scan for the numeric fields (it stops on the comma
@@ -229,6 +203,34 @@ void parse_csv_chunk(std::string_view chunk, detail::ColumnShard& shard) {
 
 }  // namespace
 
+namespace detail {
+
+LineParse parse_csv_line(std::string_view line, ActionRecord& record, std::string& error) {
+  const std::string_view trimmed = trim(line);
+  if (trimmed.empty()) return LineParse::kSkip;
+
+  std::string_view fields[6];
+  std::size_t field_count = 0;
+  std::size_t start = 0;
+  for (;;) {
+    const std::size_t comma = trimmed.find(',', start);
+    const std::string_view field = comma == std::string_view::npos
+                                       ? trimmed.substr(start)
+                                       : trimmed.substr(start, comma - start);
+    if (field_count < 6) fields[field_count] = field;
+    ++field_count;
+    if (comma == std::string_view::npos) break;
+    start = comma + 1;
+  }
+  if (field_count != 6) {
+    error = "expected 6 fields, got " + std::to_string(field_count);
+    return LineParse::kError;
+  }
+  return parse_csv_fields(fields, record, error);
+}
+
+}  // namespace detail
+
 void write_csv(std::ostream& out, const Dataset& dataset) {
   out << kCsvHeader << '\n';
   for (std::size_t i = 0; i < dataset.size(); ++i) {
@@ -283,40 +285,6 @@ CsvReadResult read_csv_file(const std::string& path, const IngestOptions& option
   note_ingest("csv", stats);
   span.attr("records", static_cast<std::int64_t>(stats.records));
   span.attr("bytes", static_cast<std::int64_t>(stats.bytes));
-  return result;
-}
-
-CsvReadResult read_csv_scalar(std::istream& in) {
-  CsvReadResult result;
-  std::string line;
-  std::size_t line_number = 0;
-
-  if (!std::getline(in, line)) {
-    throw std::runtime_error("read_csv: empty input (missing header)");
-  }
-  ++line_number;
-  // Satellite normalization: the scalar path must agree with the chunked
-  // path on a UTF-8 BOM before the header.
-  if (trim(strip_utf8_bom(line)) != kCsvHeader) {
-    throw std::runtime_error("read_csv: unexpected header: " + line);
-  }
-
-  while (std::getline(in, line)) {
-    ++line_number;
-    ActionRecord record;
-    std::string error;
-    switch (parse_csv_line(line, record, error)) {
-      case LineParse::kRecord:
-        result.dataset.add(record);
-        break;
-      case LineParse::kSkip:
-        break;
-      case LineParse::kError:
-        result.errors.push_back({line_number, std::move(error)});
-        break;
-    }
-  }
-  result.dataset.sort_by_time();
   return result;
 }
 

@@ -50,9 +50,13 @@ CsvReadResult read_csv_buffer(std::string_view text, const IngestOptions& option
 CsvReadResult read_csv(std::istream& in, const IngestOptions& options = {});
 CsvReadResult read_csv_file(const std::string& path, const IngestOptions& options = {});
 
-/// The pre-ingest-engine scalar reference reader (std::getline, row-by-row
-/// appends). Kept as the independent oracle for the parser-parity property
-/// tests and the seed-path benchmark baseline; not a hot path.
-CsvReadResult read_csv_scalar(std::istream& in);
+namespace detail {
+
+/// Parse one CSV data line (no '\n'). A blank or all-whitespace line is
+/// kSkip. The per-line reference the parity tests hold the fused chunk
+/// parser to.
+LineParse parse_csv_line(std::string_view line, ActionRecord& record, std::string& error);
+
+}  // namespace detail
 
 }  // namespace autosens::telemetry

@@ -251,14 +251,6 @@ bool parse_jsonl_fast(const char*& p, const char* const end, ActionRecord& recor
   return true;
 }
 
-/// Per-line wrapper for the getline entry point (and the reference the
-/// parity tests hold the fused chunk parser to). The line arrives with its
-/// '\n' already stripped, so `end` acts as the terminator.
-LineParse parse_jsonl_line(std::string_view line, ActionRecord& record, std::string& error) {
-  const char* p = line.data();
-  return parse_jsonl_record(p, line.data() + line.size(), record, error);
-}
-
 /// Fused chunk parser: parse_jsonl_record leaves the cursor past each
 /// line's terminator, so there is no separate memchr('\n') sweep per line.
 void parse_jsonl_chunk(std::string_view chunk, detail::ColumnShard& shard) {
@@ -288,6 +280,15 @@ void parse_jsonl_chunk(std::string_view chunk, detail::ColumnShard& shard) {
 }
 
 }  // namespace
+
+namespace detail {
+
+LineParse parse_jsonl_line(std::string_view line, ActionRecord& record, std::string& error) {
+  const char* p = line.data();
+  return parse_jsonl_record(p, line.data() + line.size(), record, error);
+}
+
+}  // namespace detail
 
 void write_jsonl(std::ostream& out, const Dataset& dataset) {
   for (std::size_t i = 0; i < dataset.size(); ++i) {
@@ -333,31 +334,6 @@ JsonlReadResult read_jsonl_file(const std::string& path, const IngestOptions& op
   note_ingest("jsonl", stats);
   span.attr("records", static_cast<std::int64_t>(stats.records));
   span.attr("bytes", static_cast<std::int64_t>(stats.bytes));
-  return result;
-}
-
-JsonlReadResult read_jsonl_scalar(std::istream& in) {
-  JsonlReadResult result;
-  std::string line;
-  std::size_t line_number = 0;
-  while (std::getline(in, line)) {
-    ++line_number;
-    std::string_view view = line;
-    if (line_number == 1) view = strip_utf8_bom(view);
-    ActionRecord record;
-    std::string error;
-    switch (parse_jsonl_line(view, record, error)) {
-      case LineParse::kRecord:
-        result.dataset.add(record);
-        break;
-      case LineParse::kSkip:
-        break;
-      case LineParse::kError:
-        result.errors.push_back({line_number, std::move(error)});
-        break;
-    }
-  }
-  result.dataset.sort_by_time();
   return result;
 }
 

@@ -41,8 +41,12 @@ JsonlReadResult read_jsonl_buffer(std::string_view text, const IngestOptions& op
 JsonlReadResult read_jsonl(std::istream& in, const IngestOptions& options = {});
 JsonlReadResult read_jsonl_file(const std::string& path, const IngestOptions& options = {});
 
-/// Scalar reference reader (std::getline loop), kept as the oracle for the
-/// parser-parity property tests and the seed-path benchmark baseline.
-JsonlReadResult read_jsonl_scalar(std::istream& in);
+namespace detail {
+
+/// Parse one JSON-lines record (no '\n'). The per-line reference the
+/// parity tests hold the fused chunk parser to.
+LineParse parse_jsonl_line(std::string_view line, ActionRecord& record, std::string& error);
+
+}  // namespace detail
 
 }  // namespace autosens::telemetry

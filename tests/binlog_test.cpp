@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "stats/rng.h"
+#include "reference_codecs.h"
 
 namespace autosens::telemetry {
 namespace {

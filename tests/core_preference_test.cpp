@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <span>
 
 #include "core/biased.h"
 #include "stats/rng.h"
+#include "stats/savitzky_golay.h"
 
 namespace autosens::core {
 namespace {
@@ -166,6 +170,70 @@ TEST(ComputePreferenceTest, RawRatioReflectsShapeDifference) {
   // Total B mass = 40*200 + 40*100 = 12000 → pdf ratio: 200/150 vs 100/150.
   EXPECT_NEAR(result.raw_ratio[20], (200.0 / 12000.0) / (100.0 / 8000.0), 1e-9);
   EXPECT_NEAR(result.raw_ratio[70], (100.0 / 12000.0) / (100.0 / 8000.0), 1e-9);
+}
+
+// The clamp and the normalization are plain loops with a fixed arithmetic
+// shape: overshoot below zero becomes +0.0, every other value passes
+// unchanged, and normalization is a true division by the reference value,
+// not a multiply by its reciprocal.
+TEST(ComputePreferenceTest, ClampsOvershootAndDividesByReference) {
+  auto options = test_options();
+  options.reference_latency_ms = 305.0;  // a bin center: the reference is one bin
+  // A step down to almost nothing makes the cubic smoother undershoot zero.
+  auto [biased, unbiased] = make_pair(options, [](double latency) {
+    return latency < 600.0 ? 1.0 + latency / 700.0 : 0.02;
+  });
+  const auto result = compute_preference(biased, unbiased, options);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const std::span<const double> raw(result.raw_ratio.data() + result.support_begin,
+                                    result.support_end - result.support_begin);
+  const auto expected = stats::SavitzkyGolay(options.smoothing).smooth(raw);
+  bool clamped = false;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const double smoothed = result.smoothed[result.support_begin + i];
+    if (expected[i] < 0.0) {
+      clamped = true;
+      EXPECT_EQ(bits(smoothed), bits(0.0)) << "bin " << result.support_begin + i;
+    } else {
+      EXPECT_EQ(bits(smoothed), bits(expected[i])) << "bin " << result.support_begin + i;
+    }
+  }
+  EXPECT_TRUE(clamped) << "the step must make the smoother undershoot";
+
+  constexpr std::size_t kReferenceBin = 30;
+  ASSERT_EQ(result.latency_ms[kReferenceBin], options.reference_latency_ms);
+  const double reference = result.smoothed[kReferenceBin];
+  bool reciprocal_differs = false;
+  for (std::size_t i = result.support_begin; i < result.support_end; ++i) {
+    EXPECT_EQ(bits(result.normalized[i]), bits(result.smoothed[i] / reference)) << "bin " << i;
+    reciprocal_differs |= result.smoothed[i] * (1.0 / reference) != result.smoothed[i] / reference;
+  }
+  EXPECT_TRUE(reciprocal_differs) << "the curve must tell a division from a reciprocal multiply";
+}
+
+TEST(ComputePreferenceTest, ClampPassesNanThrough) {
+  // With both guards at zero, an empty bin is supported and its ratio is
+  // 0/0. The smoother spreads the NaN over its window; the clamp must leave
+  // it NaN rather than turn it into a plausible 0.
+  auto options = test_options();
+  options.min_biased_count = 0.0;
+  options.min_unbiased_mass = 0.0;
+  auto biased = make_latency_histogram(options);
+  auto unbiased = make_latency_histogram(options);
+  constexpr std::size_t kEmptyBin = 70;
+  for (std::size_t i = 1; i + 1 < biased.size(); ++i) {
+    if (i == kEmptyBin) continue;
+    biased.set_count(i, 100.0);
+    unbiased.set_count(i, 100.0);
+  }
+  const auto result = compute_preference(biased, unbiased, options);
+  ASSERT_TRUE(std::isnan(result.raw_ratio[kEmptyBin]));
+  const std::size_t half = options.smoothing.window / 2;
+  for (std::size_t i = kEmptyBin - half; i <= kEmptyBin + half; ++i) {
+    EXPECT_TRUE(std::isnan(result.smoothed[i])) << "bin " << i;
+  }
+  EXPECT_FALSE(std::isnan(result.smoothed[kEmptyBin - half - 1]));
+  EXPECT_FALSE(std::isnan(result.smoothed[kEmptyBin + half + 1]));
 }
 
 }  // namespace

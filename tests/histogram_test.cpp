@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -100,6 +104,47 @@ TEST(HistogramTest, MergeAddsBinWise) {
   EXPECT_DOUBLE_EQ(a.count(0), 2.0);
   EXPECT_DOUBLE_EQ(a.count(2), 1.0);
   EXPECT_DOUBLE_EQ(a.total_weight(), 3.0);
+}
+
+/// Bin values a bulk scale or merge must carry through with one IEEE
+/// operation each: NaN, ±inf, ±0.0 and values one ulp either side of 1.
+std::vector<double> adversarial_counts() {
+  const double inf = std::numeric_limits<double>::infinity();
+  return {std::nan(""), inf, -inf, -0.0, 0.0, std::nextafter(1.0, 0.0),
+          std::nextafter(1.0, 2.0), 3.7, 1e308, -2.5, 7.0};
+}
+
+void expect_same_double(double actual, double expected, std::size_t bin) {
+  if (std::isnan(expected)) {
+    EXPECT_TRUE(std::isnan(actual)) << "bin " << bin;
+  } else {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(actual), std::bit_cast<std::uint64_t>(expected))
+        << "bin " << bin;
+  }
+}
+
+TEST(HistogramTest, ScaleIsOneMultiplyPerBin) {
+  const auto counts = adversarial_counts();
+  Histogram h(0.0, 1.0, counts.size());
+  for (std::size_t i = 0; i < counts.size(); ++i) h.set_count(i, counts[i]);
+  h.scale(0.37);
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    expect_same_double(h.count(i), counts[i] * 0.37, i);
+  }
+}
+
+TEST(HistogramTest, MergeIsOneAddPerBin) {
+  const auto counts = adversarial_counts();
+  Histogram a(0.0, 1.0, counts.size());
+  Histogram b(0.0, 1.0, counts.size());
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    a.set_count(i, counts[i]);
+    b.set_count(i, counts[counts.size() - 1 - i]);
+  }
+  a.merge(b);
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    expect_same_double(a.count(i), counts[i] + counts[counts.size() - 1 - i], i);
+  }
 }
 
 TEST(HistogramTest, MergeRejectsGeometryMismatch) {

@@ -21,6 +21,7 @@
 #include "telemetry/csv.h"
 #include "telemetry/jsonl.h"
 #include "telemetry/logdir.h"
+#include "reference_codecs.h"
 
 namespace autosens::telemetry {
 namespace {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numbers>
 #include <vector>
 
@@ -107,6 +110,39 @@ TEST(SavitzkyGolayTest, EdgeHandlingIsExactOnPolynomials) {
   for (std::size_t i = 0; i < signal.size(); ++i) {
     EXPECT_NEAR(smoothed[i], signal[i], 1e-6) << "at index " << i;
   }
+}
+
+TEST(SavitzkyGolayTest, InteriorIsSerialFirSum) {
+  // The interior is out[h + t] = sum_j kernel[j] * signal[t + j], each
+  // output summed over j in order with a separate multiply and add. NaN,
+  // ±inf and -0.0 inside the signal reach exactly the outputs whose window
+  // covers them; the edge fits see only finite samples.
+  constexpr std::size_t kWindow = 11;
+  const SavitzkyGolay filter({.window = kWindow, .degree = 3});
+  Random random(707);
+  std::vector<double> signal(301);
+  for (auto& v : signal) v = random.uniform(0.0, 10.0);
+  signal[100] = std::numeric_limits<double>::infinity();
+  signal[150] = std::nan("");
+  signal[200] = -0.0;
+  signal[201] = std::nextafter(5.0, 6.0);
+  const auto smoothed = filter.smooth(signal);
+  const auto kernel = filter.kernel();
+  const std::size_t h = kWindow / 2;
+  for (std::size_t t = 0; t + kWindow <= signal.size(); ++t) {
+    double sum = 0.0;
+    for (std::size_t j = 0; j < kWindow; ++j) sum += kernel[j] * signal[t + j];
+    if (std::isnan(sum)) {
+      EXPECT_TRUE(std::isnan(smoothed[h + t])) << "at index " << h + t;
+    } else {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(smoothed[h + t]), std::bit_cast<std::uint64_t>(sum))
+          << "at index " << h + t;
+    }
+  }
+  EXPECT_TRUE(std::isnan(smoothed[150 - h]));
+  EXPECT_TRUE(std::isnan(smoothed[150 + h]));
+  EXPECT_TRUE(std::isfinite(smoothed[150 - h - 1]));
+  EXPECT_TRUE(std::isinf(smoothed[100]));
 }
 
 /// Property: polynomials of degree <= filter degree are fixed points, for a

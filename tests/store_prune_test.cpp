@@ -18,7 +18,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/biased.h"
 #include "core/confidence.h"
 #include "core/pipeline.h"
 #include "core/store_analyze.h"
@@ -259,17 +258,6 @@ TEST_F(StorePruneTest, AnalyzeStoreWindowsMatchesInMemoryLoop) {
     }
     ASSERT_TRUE(w.preference.has_value());
     expect_bitwise_equal(core::analyze(in_memory, options), *w.preference);
-  }
-}
-
-TEST_F(StorePruneTest, StreamedBiasedHistogramBitIdentical) {
-  core::AutoSensOptions options;
-  const auto streamed = core::scan_biased_histogram(store(), options);
-  const auto whole = core::biased_histogram(dataset_.latencies(), options);
-  ASSERT_EQ(streamed.size(), whole.size());
-  EXPECT_EQ(streamed.total_weight(), whole.total_weight());
-  for (std::size_t i = 0; i < whole.size(); ++i) {
-    EXPECT_EQ(streamed.count(i), whole.count(i)) << "bin " << i;
   }
 }
 

@@ -16,6 +16,7 @@
 #include "telemetry/store/codec.h"
 #include "telemetry/store/footer.h"
 #include "telemetry/store/writer.h"
+#include "reference_codecs.h"
 
 namespace autosens::telemetry::store {
 namespace {

@@ -1,8 +1,14 @@
 #!/usr/bin/env bash
-# Build and run the concurrency-sensitive test suites under sanitizers, in
-# two dedicated build trees:
-#   <repo>/build-asan — AUTOSENS_SANITIZE=address + AUTOSENS_UBSAN=ON
-#   <repo>/build-tsan — AUTOSENS_SANITIZE=thread
+# Build every target in a Release tree, then build and run the
+# concurrency-sensitive test suites under sanitizers, in three dedicated
+# build trees:
+#   <repo>/build-release — CMAKE_BUILD_TYPE=Release, build only
+#   <repo>/build-asan    — AUTOSENS_SANITIZE=address + AUTOSENS_UBSAN=ON
+#   <repo>/build-tsan    — AUTOSENS_SANITIZE=thread
+#
+# The Release tree compiles at -O3 under the default AUTOSENS_WERROR=ON, so
+# the warnings GCC raises only at that level (false -Wmaybe-uninitialized /
+# -Wrestrict among them) fail this run rather than a later benchmark build.
 #
 # Each tree runs the net, parallel, obs, simd, store, telemetry and core ctest
 # labels: the fault-injection matrix, the wire fuzz corpus, the
@@ -15,13 +21,15 @@
 # actually live. Pass --soak to also run the slow-labelled soak tests
 # (ctest -C soak -L slow) in each tree.
 #
-# Only the test targets for those labels are built, not the whole tree, so a
-# sanitizer pass stays affordable on a small machine.
+# Only the test targets for those labels are built in the sanitizer trees,
+# not the whole tree, so a sanitizer pass stays affordable on a small
+# machine.
 #
 # Usage: tools/run_sanitizers.sh [--soak] [--asan-dir DIR] [--tsan-dir DIR]
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+release_dir="${repo_root}/build-release"
 asan_dir="${repo_root}/build-asan"
 tsan_dir="${repo_root}/build-tsan"
 soak=0
@@ -64,9 +72,13 @@ run_tree() {
   fi
 }
 
+echo "=== [Release] configure + build every target: $release_dir ==="
+cmake -B "$release_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release > /dev/null
+cmake --build "$release_dir" -j "$jobs"
+
 run_tree "$asan_dir" "ASan+UBSan" \
   -DAUTOSENS_SANITIZE=address -DAUTOSENS_UBSAN=ON
 run_tree "$tsan_dir" "TSan" \
   -DAUTOSENS_SANITIZE=thread
 
-echo "sanitizer suites passed: ASan+UBSan ($asan_dir), TSan ($tsan_dir)"
+echo "Release tree built ($release_dir); sanitizer suites passed: ASan+UBSan ($asan_dir), TSan ($tsan_dir)"
