@@ -40,8 +40,9 @@ struct AutoSensOptions {
   std::uint64_t seed = 7;  ///< Seed for the Monte-Carlo draws.
 
   /// Support guards: a bin contributes to the ratio only if the biased count
-  /// and the unbiased probability mass clear these thresholds. Guarded-out
-  /// interior bins are linearly interpolated before smoothing.
+  /// and the unbiased probability mass clear these thresholds; a bin with no
+  /// unbiased mass never does. Guarded-out interior bins are linearly
+  /// interpolated before smoothing. Negative or NaN guards are rejected.
   double min_biased_count = 5.0;
   double min_unbiased_mass = 1e-5;
 

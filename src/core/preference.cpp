@@ -37,6 +37,9 @@ PreferenceResult compute_preference(const stats::Histogram& biased,
   if (biased.total_weight() <= 0.0 || unbiased.total_weight() <= 0.0) {
     throw std::invalid_argument("compute_preference: empty histogram");
   }
+  if (!(options.min_biased_count >= 0.0) || !(options.min_unbiased_mass >= 0.0)) {
+    throw std::invalid_argument("compute_preference: negative or NaN support guard");
+  }
 
   PreferenceResult result;
   result.reference_latency_ms = options.reference_latency_ms;
@@ -46,7 +49,9 @@ PreferenceResult compute_preference(const stats::Histogram& biased,
   result.valid.assign(bins, 0);
 
   // Bin-wise ratio of probability masses (bin widths cancel). The first and
-  // last bins are clamp/overflow buckets and never count as supported.
+  // last bins are clamp/overflow buckets and never count as supported, and
+  // neither does a bin without unbiased mass, whatever the guards: its
+  // ratio would divide by zero.
   const double b_total = biased.total_weight();
   const double u_total = unbiased.total_weight();
   for (std::size_t i = 0; i < bins; ++i) {
@@ -54,7 +59,8 @@ PreferenceResult compute_preference(const stats::Histogram& biased,
     if (i == 0 || i + 1 == bins) continue;
     const double b_mass = biased.count(i);
     const double u_mass = unbiased.count(i) / u_total;
-    if (b_mass >= options.min_biased_count && u_mass >= options.min_unbiased_mass) {
+    if (b_mass >= options.min_biased_count && u_mass > 0.0 &&
+        u_mass >= options.min_unbiased_mass) {
       result.raw_ratio[i] = (b_mass / b_total) / u_mass;
       result.valid[i] = 1;
     }

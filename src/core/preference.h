@@ -33,7 +33,8 @@ struct PreferenceResult {
 
 /// Compute the preference curve from the biased and unbiased histograms.
 /// The histograms must share geometry. Throws std::invalid_argument if the
-/// supported range is empty or does not include the reference latency.
+/// supported range is empty or does not include the reference latency, or
+/// if a support guard is negative or NaN.
 PreferenceResult compute_preference(const stats::Histogram& biased,
                                     const stats::Histogram& unbiased,
                                     const AutoSensOptions& options);

@@ -56,6 +56,8 @@ double hellinger_distance(const Histogram& p, const Histogram& q) {
   const double bc = interleaved_sum(a.size(), [&](std::size_t i) {  // Bhattacharyya coefficient
     return std::sqrt((a[i] / a_total) * (b[i] / b_total));
   });
+  // A non-finite bin makes bc NaN; std::max(0.0, NaN) would report 0.
+  if (std::isnan(bc)) return bc;
   return std::sqrt(std::max(0.0, 1.0 - bc));
 }
 

@@ -302,8 +302,8 @@ void append_block(std::vector<std::uint8_t>& out, const void* src, std::size_t b
 
 /// ASL2: validate frame geometry serially (varint count + fixed block
 /// sizes), prefix-sum destination offsets, then CRC + memcpy every frame's
-/// column blocks straight into its precomputed slice of the output columns
-/// in parallel. Destinations depend only on the frame headers, so the
+/// column blocks straight into its precomputed slice of the unzeroed output
+/// columns in parallel. Destinations depend only on the frame headers, so the
 /// result is identical for every thread count; a corrupt frame throws and
 /// the pool rethrows the lowest frame's error deterministically.
 Dataset read_binlog_v2(std::span<const std::uint8_t> data,
@@ -335,12 +335,10 @@ Dataset read_binlog_v2(std::span<const std::uint8_t> data,
     total += count;
   }
 
-  std::vector<std::int64_t> times(total);
-  std::vector<double> latencies(total);
-  std::vector<std::uint64_t> user_ids(total);
-  std::vector<ActionType> actions(total);
-  std::vector<UserClass> user_classes(total);
-  std::vector<ActionStatus> statuses(total);
+  // Unzeroed columns: each page is first touched by the worker that copies
+  // its frame in, not zero-filled here on one thread.
+  Dataset dataset;
+  const MutableRowColumns out = dataset.resize_for_overwrite(total, /*ascending=*/false);
 
   core::parallel_for_items(frames.size(), options.threads, [&](std::size_t i) {
     const auto payload = data.subspan(frames[i].payload_offset, frames[i].payload_len);
@@ -352,11 +350,11 @@ Dataset read_binlog_v2(std::span<const std::uint8_t> data,
     // nullptr data() of all-empty column vectors (UB even with length 0).
     if (plan.count == 0) return;
     const std::uint8_t* p = payload.data() + plan.blocks_offset;
-    std::memcpy(times.data() + plan.dest, p, plan.count * sizeof(std::int64_t));
+    std::memcpy(out.times.data() + plan.dest, p, plan.count * sizeof(std::int64_t));
     p += plan.count * sizeof(std::int64_t);
-    std::memcpy(latencies.data() + plan.dest, p, plan.count * sizeof(double));
+    std::memcpy(out.latencies.data() + plan.dest, p, plan.count * sizeof(double));
     p += plan.count * sizeof(double);
-    std::memcpy(user_ids.data() + plan.dest, p, plan.count * sizeof(std::uint64_t));
+    std::memcpy(out.user_ids.data() + plan.dest, p, plan.count * sizeof(std::uint64_t));
     p += plan.count * sizeof(std::uint64_t);
     // The enum blocks are validated byte-wise (CRC catches corruption, not a
     // well-formed file written with out-of-range values), then copied.
@@ -375,14 +373,11 @@ Dataset read_binlog_v2(std::span<const std::uint8_t> data,
     if (max_action >= kActionTypeCount || max_class >= kUserClassCount || max_status > 1) {
       throw std::runtime_error("read_binlog: invalid enum value");
     }
-    std::memcpy(actions.data() + plan.dest, action_block, plan.count);
-    std::memcpy(user_classes.data() + plan.dest, class_block, plan.count);
-    std::memcpy(statuses.data() + plan.dest, status_block, plan.count);
+    std::memcpy(out.actions.data() + plan.dest, action_block, plan.count);
+    std::memcpy(out.user_classes.data() + plan.dest, class_block, plan.count);
+    std::memcpy(out.statuses.data() + plan.dest, status_block, plan.count);
   });
 
-  Dataset dataset;
-  dataset.adopt_columns(std::move(times), std::move(latencies), std::move(user_ids),
-                        std::move(actions), std::move(user_classes), std::move(statuses));
   dataset.sort_by_time();
   return dataset;
 }

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <numeric>
 #include <stdexcept>
-#include <type_traits>
 #include <utility>
 
 #include "stats/descriptive.h"
-#include "stats/scratch.h"
 
 namespace autosens::telemetry {
 
@@ -64,37 +62,26 @@ void Dataset::append_columns(std::span<const std::int64_t> times,
   status_.insert(status_.end(), statuses.begin(), statuses.end());
 }
 
-void Dataset::adopt_columns(std::vector<std::int64_t> times, std::vector<double> latencies,
-                            std::vector<std::uint64_t> user_ids,
-                            std::vector<ActionType> actions,
-                            std::vector<UserClass> user_classes,
-                            std::vector<ActionStatus> statuses) {
-  const std::size_t n = times.size();
-  if (latencies.size() != n || user_ids.size() != n || actions.size() != n ||
-      user_classes.size() != n || statuses.size() != n) {
-    throw std::invalid_argument("Dataset::adopt_columns: column length mismatch");
-  }
-  time_ms_ = std::move(times);
-  latency_ms_ = std::move(latencies);
-  user_id_ = std::move(user_ids);
-  action_ = std::move(actions);
-  user_class_ = std::move(user_classes);
-  status_ = std::move(statuses);
-  sorted_ = std::is_sorted(time_ms_.begin(), time_ms_.end());
+MutableRowColumns Dataset::resize_for_overwrite(std::size_t n, bool ascending) {
+  // Fresh columns: resizing a non-empty one would copy its old rows.
+  time_ms_ = Column<std::int64_t>(n);
+  latency_ms_ = Column<double>(n);
+  user_id_ = Column<std::uint64_t>(n);
+  action_ = Column<ActionType>(n);
+  user_class_ = Column<UserClass>(n);
+  status_ = Column<ActionStatus>(n);
+  sorted_ = ascending || n < 2;
+  return {time_ms_, latency_ms_, user_id_, action_, user_class_, status_};
 }
 
 namespace {
 
-/// out[i] = column[perm[i]], through a pooled scratch buffer.
-template <typename T>
-void apply_permutation(std::vector<T>& column, std::span<const std::uint64_t> perm) {
-  std::vector<T> scratch = stats::ScratchPool<T>::take();
-  scratch.resize(column.size());
-  for (std::size_t i = 0; i < column.size(); ++i) {
-    scratch[i] = column[static_cast<std::size_t>(perm[i])];
-  }
-  column.swap(scratch);
-  stats::ScratchPool<T>::give(std::move(scratch));
+/// out[i] = column[rows[i]], in a fresh unzeroed column.
+template <typename T, typename Index>
+Column<T> gathered(const Column<T>& column, std::span<const Index> rows) {
+  Column<T> out(rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) out[i] = column[static_cast<std::size_t>(rows[i])];
+  return out;
 }
 
 }  // namespace
@@ -103,35 +90,39 @@ Dataset Dataset::gather(std::span<const std::size_t> rows) const {
   if (!rows.empty() && *std::max_element(rows.begin(), rows.end()) >= size()) {
     throw std::out_of_range("Dataset::gather: row index out of range");
   }
-  const auto pick = [rows](const auto& column) {
-    std::remove_cvref_t<decltype(column)> out;
-    out.reserve(rows.size());
-    for (const std::size_t i : rows) out.push_back(column[i]);
-    return out;
-  };
   Dataset out;
-  out.adopt_columns(pick(time_ms_), pick(latency_ms_), pick(user_id_), pick(action_),
-                    pick(user_class_), pick(status_));
+  out.time_ms_ = gathered(time_ms_, rows);
+  out.latency_ms_ = gathered(latency_ms_, rows);
+  out.user_id_ = gathered(user_id_, rows);
+  out.action_ = gathered(action_, rows);
+  out.user_class_ = gathered(user_class_, rows);
+  out.status_ = gathered(status_, rows);
+  out.sorted_ = std::is_sorted(out.time_ms_.begin(), out.time_ms_.end());
   return out;
 }
 
 void Dataset::sort_by_time() {
   if (sorted_) return;
+  if (std::is_sorted(time_ms_.begin(), time_ms_.end())) {
+    sorted_ = true;
+    return;
+  }
   // Permutation sort: order indices by time, then gather every column once.
   // Moves 8-byte indices through the comparator instead of 48-byte records.
-  std::vector<std::uint64_t> perm = stats::ScratchPool<std::uint64_t>::take();
-  perm.resize(size());
+  Column<std::uint64_t> perm(size());
   std::iota(perm.begin(), perm.end(), std::uint64_t{0});
   std::stable_sort(perm.begin(), perm.end(), [this](std::uint64_t a, std::uint64_t b) {
     return time_ms_[static_cast<std::size_t>(a)] < time_ms_[static_cast<std::size_t>(b)];
   });
-  apply_permutation(time_ms_, perm);
-  apply_permutation(latency_ms_, perm);
-  apply_permutation(user_id_, perm);
-  apply_permutation(action_, perm);
-  apply_permutation(user_class_, perm);
-  apply_permutation(status_, perm);
-  stats::ScratchPool<std::uint64_t>::give(std::move(perm));
+  // Each column is gathered into a fresh one and the old one freed: no
+  // column-sized scratch outlives the sort.
+  const std::span<const std::uint64_t> rows = perm;
+  time_ms_ = gathered(time_ms_, rows);
+  latency_ms_ = gathered(latency_ms_, rows);
+  user_id_ = gathered(user_id_, rows);
+  action_ = gathered(action_, rows);
+  user_class_ = gathered(user_class_, rows);
+  status_ = gathered(status_, rows);
   sorted_ = true;
 }
 

@@ -11,9 +11,13 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <span>
 #include <stdexcept>
+#include <type_traits>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "telemetry/record.h"
@@ -21,6 +25,30 @@
 namespace autosens::telemetry {
 
 struct RecordFilter;
+
+/// std::allocator, except that a value-less construct default-initializes:
+/// resizing a vector of trivial elements reserves the memory and writes
+/// nothing, so the first write to a page is the producer's own — on the
+/// thread that writes it — not a zero-fill on the thread that sized it.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  DefaultInitAllocator() = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+/// A Dataset column: resize() leaves new elements uninitialized.
+template <typename T>
+using Column = std::vector<T, DefaultInitAllocator<T>>;
 
 /// Non-owning view of the two analysis-plane columns. The whole estimator
 /// pipeline (biased/unbiased fills, α-normalization) consumes this instead of
@@ -69,6 +97,17 @@ struct RowColumns {
   }
 };
 
+/// Writable spans over all six columns of a Dataset's rows
+/// (Dataset::resize_for_overwrite).
+struct MutableRowColumns {
+  std::span<std::int64_t> times;
+  std::span<double> latencies;
+  std::span<std::uint64_t> user_ids;
+  std::span<ActionType> actions;
+  std::span<UserClass> user_classes;
+  std::span<ActionStatus> statuses;
+};
+
 class Dataset {
  public:
   Dataset() = default;
@@ -87,14 +126,15 @@ class Dataset {
                       std::span<const ActionType> actions,
                       std::span<const UserClass> user_classes,
                       std::span<const ActionStatus> statuses);
-  /// Bulk load: take ownership of fully-formed columns without copying (the
-  /// binlog zero-copy path). All vectors must have equal length; throws
-  /// std::invalid_argument otherwise. Replaces the current contents;
-  /// sortedness is determined by scanning the times once.
-  void adopt_columns(std::vector<std::int64_t> times, std::vector<double> latencies,
-                     std::vector<std::uint64_t> user_ids, std::vector<ActionType> actions,
-                     std::vector<UserClass> user_classes,
-                     std::vector<ActionStatus> statuses);
+  /// Replace the contents with `n` rows whose values are NOT initialized,
+  /// and return spans to write them through. Only a producer that writes
+  /// every row before the dataset escapes may call this (the binlog reader,
+  /// the select kernel, gather): an unwritten row is indeterminate memory.
+  /// `ascending` is what the producer knows of the times it will write:
+  /// true only when they cannot go backwards (rows kept in order from a
+  /// sorted dataset); with false the dataset is flagged unsorted, and
+  /// sort_by_time() settles it (a scan when the rows ascend after all).
+  MutableRowColumns resize_for_overwrite(std::size_t n, bool ascending);
   void reserve(std::size_t capacity);
 
   std::size_t size() const noexcept { return time_ms_.size(); }
@@ -109,7 +149,7 @@ class Dataset {
                         .status = status_[i]};
   }
   /// Sort records ascending by time (stable, so equal-time order is
-  /// insertion order). Idempotent.
+  /// insertion order). Idempotent; rows already in order are only scanned.
   void sort_by_time();
   bool is_sorted() const noexcept { return sorted_; }
 
@@ -140,20 +180,23 @@ class Dataset {
   /// times. Throws std::out_of_range on an index >= size().
   Dataset gather(std::span<const std::size_t> rows) const;
 
-  /// The rows `filter` keeps, in their original order: gather(filter.rows()).
-  /// Defined with RecordFilter in telemetry/filter.cpp.
-  Dataset filtered(const RecordFilter& filter) const;
+  /// The rows `filter` keeps, in their original order, as
+  /// gather(filter.rows()) would copy them (sorted flag included), through
+  /// the parallel select kernel of telemetry/select.h on `threads` workers
+  /// (0 = all hardware threads; the result is the same for every value).
+  /// Defined in telemetry/select.cpp.
+  Dataset filtered(const RecordFilter& filter, std::size_t threads = 0) const;
 
   /// Per-user median latency over this dataset (for quartile conditioning).
   std::unordered_map<std::uint64_t, double> per_user_median_latency() const;
 
  private:
-  std::vector<std::int64_t> time_ms_;
-  std::vector<double> latency_ms_;
-  std::vector<std::uint64_t> user_id_;
-  std::vector<ActionType> action_;
-  std::vector<UserClass> user_class_;
-  std::vector<ActionStatus> status_;
+  Column<std::int64_t> time_ms_;
+  Column<double> latency_ms_;
+  Column<std::uint64_t> user_id_;
+  Column<ActionType> action_;
+  Column<UserClass> user_class_;
+  Column<ActionStatus> status_;
   bool sorted_ = true;  // vacuously sorted when empty
 };
 

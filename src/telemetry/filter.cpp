@@ -72,8 +72,6 @@ std::vector<std::size_t> RecordFilter::rows(const Dataset& dataset) const {
   return rows;
 }
 
-Dataset Dataset::filtered(const RecordFilter& filter) const { return gather(filter.rows(*this)); }
-
 RecordFilter all_of(std::vector<RecordFilter> filters) {
   RecordFilter combined;
   for (auto& filter : filters) std::ranges::move(filter.terms, std::back_inserter(combined.terms));

@@ -5,7 +5,8 @@
 // so selection never assembles an ActionRecord or calls a type-erased
 // predicate. A RowMatcher compiles the terms for row-at-a-time tests, which
 // both rows() and the fused select pass (telemetry/select.h) run.
-// Dataset::filtered(filter) is gather(filter.rows(dataset)).
+// Dataset::filtered(filter) copies the same rows as gather(filter.rows(dataset)),
+// through the parallel select kernel.
 #pragma once
 
 #include <array>

@@ -5,6 +5,10 @@
 // a SampleBuffer copies just those two columns of the kept rows; the store
 // window loop and the slice fan-out analyze its SampleColumns instead of
 // copying all six columns once per stage (load, validate, filter).
+//
+// select_rows is the same selector run as a two-pass parallel kernel that
+// copies all six columns of the kept rows: validate() and
+// Dataset::filtered() are this kernel.
 #pragma once
 
 #include <algorithm>
@@ -81,6 +85,27 @@ class RowSelector {
   std::optional<ValidationOptions> scrub_;
   ValidationReport report_;
 };
+
+/// Rows per chunk of select_rows: a multiple of 64, so every chunk owns
+/// whole words of the verdict mask.
+inline constexpr std::size_t kSelectChunkRows = std::size_t{1} << 16;
+
+/// All six columns of the rows of `input` that `selector` keeps, in input
+/// order, with the scrub verdicts of a fresh tally (`selector`'s own
+/// report is not read). Two passes over a fixed grid of chunks of about
+/// kSelectChunkRows rows on `threads` pool workers (0 = all hardware
+/// threads):
+///  1. each chunk runs its own copy of the selector, recording a 1-bit
+///     verdict per row, its kept count and its report;
+///  2. after an exclusive prefix sum of the counts, each chunk writes its
+///     kept rows into its own slice of the unzeroed output columns.
+/// The grid depends on the row count alone and the reports merge in chunk
+/// order, so the result is the same for every thread count. The output is
+/// flagged sorted when `input` is (its kept rows then ascend); otherwise
+/// unsorted, even when the kept rows happen to ascend — validate() sorts
+/// them and Dataset::filtered() rescans them.
+ValidatedDataset select_rows(const Dataset& input, const RowSelector& selector,
+                             std::size_t threads);
 
 /// Owned time/latency columns of the rows a RowSelector kept, in input
 /// order. clear() keeps the capacity, so a buffer reused across windows

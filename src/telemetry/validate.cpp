@@ -75,18 +75,12 @@ std::string ValidationReport::one_line() const {
   return out.str();
 }
 
-ValidatedDataset validate(const Dataset& input, const ValidationOptions& options) {
-  ValidatedDataset result;
-  // Every check reads only time, latency and status; kept rows are copied
-  // as contiguous runs, one insert per run and column.
-  RowSelector selector(RecordFilter{}, options);
-  result.dataset.reserve(input.size());  // Untouched capacity costs no memory.
-  selector.for_each_kept_run(input.row_columns(), [&](const RowColumns& run) {
-    result.dataset.append_columns(run.times, run.latencies, run.user_ids, run.actions,
-                                  run.user_classes, run.statuses);
-  });
+ValidatedDataset validate(const Dataset& input, const ValidationOptions& options,
+                          std::size_t threads) {
+  // Every check reads only time, latency and status; the kernel copies all
+  // six columns of the kept rows, in input order.
+  ValidatedDataset result = select_rows(input, RowSelector(RecordFilter{}, options), threads);
   result.dataset.sort_by_time();
-  result.report = selector.report();
   publish_validation_metrics(result.report);
   return result;
 }

@@ -108,7 +108,12 @@ struct ValidatedDataset {
   ValidationReport report;
 };
 
-ValidatedDataset validate(const Dataset& input, const ValidationOptions& options = {});
+/// Scrub `input` by drop_reason: the select kernel (telemetry/select.h) with
+/// an empty filter on `threads` pool workers (0 = all hardware threads; the
+/// result is the same for every value), then a stable sort_by_time when the
+/// input was unsorted.
+ValidatedDataset validate(const Dataset& input, const ValidationOptions& options = {},
+                          std::size_t threads = 0);
 
 /// Add a report's counts to the autosens_validate_* counters. validate()
 /// calls it; so does any pass that scrubs with drop_reason on its own.

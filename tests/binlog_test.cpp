@@ -219,6 +219,33 @@ TEST(BinlogTest, CorruptedPayloadFailsCrc) {
   EXPECT_THROW(read_binlog(in), std::runtime_error);
 }
 
+TEST(BinlogTest, CrcFailureInMiddleFrameThrowsCleanly) {
+  // The reader sizes its unzeroed columns before any frame is checked, then
+  // copies frames in parallel: a bad middle frame must still end in the CRC
+  // error at every thread count, and the reader must work again afterwards.
+  const auto dataset = random_dataset(2000, 8);
+  std::stringstream stream;
+  write_binlog(stream, dataset, /*batch_size=*/256);
+  const std::string text = stream.str();
+  std::vector<std::uint8_t> bytes(text.begin(), text.end());
+  const auto frames = walk_binlog_frames(bytes);
+  ASSERT_EQ(frames.size(), 8u);
+  const BinlogFrameView& middle = frames[frames.size() / 2];
+  const std::vector<std::uint8_t> good = bytes;
+  bytes[middle.payload_offset + middle.payload_len / 2] ^= 0x01;
+  for (const std::size_t threads : {1, 2, 8}) {
+    try {
+      read_binlog_buffer(bytes, {.threads = threads});
+      ADD_FAILURE() << "no throw at threads " << threads;
+    } catch (const std::runtime_error& error) {
+      EXPECT_STREQ(error.what(), "read_binlog: crc mismatch") << "threads " << threads;
+    }
+    const Dataset decoded = read_binlog_buffer(good, {.threads = threads});
+    ASSERT_EQ(decoded.size(), dataset.size());
+    for (std::size_t i = 0; i < decoded.size(); ++i) ASSERT_EQ(decoded[i], dataset[i]);
+  }
+}
+
 TEST(BinlogTest, TruncatedFileThrows) {
   const auto dataset = random_dataset(100, 6);
   std::stringstream stream;

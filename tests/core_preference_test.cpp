@@ -5,6 +5,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <span>
 
 #include "core/biased.h"
@@ -212,9 +213,42 @@ TEST(ComputePreferenceTest, ClampsOvershootAndDividesByReference) {
 }
 
 TEST(ComputePreferenceTest, ClampPassesNanThrough) {
-  // With both guards at zero, an empty bin is supported and its ratio is
-  // 0/0. The smoother spreads the NaN over its window; the clamp must leave
-  // it NaN rather than turn it into a plausible 0.
+  // Two adjacent bins whose ratio overflows to +inf: their unbiased mass is
+  // subnormal but clears a subnormal guard. (An infinite biased count
+  // cannot serve: it makes the biased total infinite, every other ratio 0,
+  // and the reference throws.) Where the smoother's window meets the two
+  // infinities with taps of opposite sign, inf - inf is NaN; where both taps
+  // are negative it is -inf. The clamp must turn -inf into 0 and leave the
+  // NaN NaN, not a plausible 0.
+  auto options = test_options();
+  options.min_unbiased_mass = std::numeric_limits<double>::denorm_min();
+  auto biased = make_latency_histogram(options);
+  auto unbiased = make_latency_histogram(options);
+  constexpr std::size_t kInfBin = 70;
+  for (std::size_t i = 1; i + 1 < biased.size(); ++i) {
+    biased.set_count(i, 100.0);
+    unbiased.set_count(i, i == kInfBin || i == kInfBin + 1 ? 1e-308 : 100.0);
+  }
+  const auto result = compute_preference(biased, unbiased, options);
+  ASSERT_EQ(result.raw_ratio[kInfBin], std::numeric_limits<double>::infinity());
+  ASSERT_EQ(result.raw_ratio[kInfBin + 1], std::numeric_limits<double>::infinity());
+  const std::size_t half = options.smoothing.window / 2;
+  std::size_t nans = 0;
+  for (std::size_t i = kInfBin + 1 - half; i <= kInfBin + half; ++i) {
+    if (std::isnan(result.smoothed[i])) {
+      ++nans;
+    } else {
+      EXPECT_GE(result.smoothed[i], 0.0) << "bin " << i;
+    }
+  }
+  EXPECT_GT(nans, 0u);
+  EXPECT_TRUE(std::isfinite(result.smoothed[kInfBin - half - 1]));
+  EXPECT_TRUE(std::isfinite(result.smoothed[kInfBin + half + 2]));
+}
+
+TEST(ComputePreferenceTest, ZeroGuardsLeaveEmptyBinUnsupported) {
+  // With both guards at zero an empty bin would divide 0 by 0; it stays
+  // unsupported and is interpolated like any guarded-out bin.
   auto options = test_options();
   options.min_biased_count = 0.0;
   options.min_unbiased_mass = 0.0;
@@ -227,13 +261,23 @@ TEST(ComputePreferenceTest, ClampPassesNanThrough) {
     unbiased.set_count(i, 100.0);
   }
   const auto result = compute_preference(biased, unbiased, options);
-  ASSERT_TRUE(std::isnan(result.raw_ratio[kEmptyBin]));
-  const std::size_t half = options.smoothing.window / 2;
-  for (std::size_t i = kEmptyBin - half; i <= kEmptyBin + half; ++i) {
-    EXPECT_TRUE(std::isnan(result.smoothed[i])) << "bin " << i;
+  EXPECT_EQ(result.valid[kEmptyBin], 0);
+  EXPECT_EQ(result.raw_ratio[kEmptyBin], 0.0);
+  for (std::size_t i = result.support_begin; i < result.support_end; ++i) {
+    EXPECT_NEAR(result.normalized[i], 1.0, 1e-9) << "bin " << i;
   }
-  EXPECT_FALSE(std::isnan(result.smoothed[kEmptyBin - half - 1]));
-  EXPECT_FALSE(std::isnan(result.smoothed[kEmptyBin + half + 1]));
+}
+
+TEST(ComputePreferenceTest, NegativeOrNanGuardsThrow) {
+  auto [biased, unbiased] = make_pair(test_options(), [](double) { return 1.0; });
+  for (const double bad : {-1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    auto options = test_options();
+    options.min_biased_count = bad;
+    EXPECT_THROW(compute_preference(biased, unbiased, options), std::invalid_argument);
+    options = test_options();
+    options.min_unbiased_mass = bad;
+    EXPECT_THROW(compute_preference(biased, unbiased, options), std::invalid_argument);
+  }
 }
 
 }  // namespace

@@ -143,5 +143,14 @@ TEST(DistanceTest, TotalVariationPropagatesNonFiniteMass) {
   EXPECT_TRUE(std::isnan(total_variation_distance(a, b)));
 }
 
+TEST(DistanceTest, HellingerPropagatesNonFiniteMass) {
+  // The same inf/inf = NaN probability makes the Bhattacharyya sum NaN; the
+  // distance reports NaN, not the 0 of identical distributions.
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto a = filled({1.0, inf, 2.0, 3.0, 4.0});
+  const auto b = filled({1.0, 1.0, 1.0, 1.0, 1.0});
+  EXPECT_TRUE(std::isnan(hellinger_distance(a, b)));
+}
+
 }  // namespace
 }  // namespace autosens::stats

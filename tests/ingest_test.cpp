@@ -396,19 +396,37 @@ TEST(BulkColumnsTest, AppendColumnsPreservesSortednessWhenAscending) {
   EXPECT_FALSE(d.is_sorted());
 }
 
-TEST(BulkColumnsTest, AdoptColumnsValidatesAndDetectsSortedness) {
+TEST(BulkColumnsTest, ResizeForOverwriteFlagsAndSorts) {
+  // Rows written out of order: flagged unsorted, then stably sorted.
   Dataset d;
-  EXPECT_THROW(d.adopt_columns({1, 2}, {1.0}, {1, 2}, {ActionType::kSearch, ActionType::kSearch},
-                               {UserClass::kConsumer, UserClass::kConsumer},
-                               {ActionStatus::kSuccess, ActionStatus::kSuccess}),
-               std::invalid_argument);
-  d.adopt_columns({3, 1}, {1.0, 2.0}, {1, 2}, {ActionType::kSearch, ActionType::kSearch},
-                  {UserClass::kConsumer, UserClass::kConsumer},
-                  {ActionStatus::kSuccess, ActionStatus::kSuccess});
+  MutableRowColumns rows = d.resize_for_overwrite(3, /*ascending=*/false);
+  const std::int64_t times[] = {3, 1, 3};
+  for (std::size_t i = 0; i < 3; ++i) {
+    rows.times[i] = times[i];
+    rows.latencies[i] = static_cast<double>(i);
+    rows.user_ids[i] = i;
+    rows.actions[i] = ActionType::kSearch;
+    rows.user_classes[i] = UserClass::kConsumer;
+    rows.statuses[i] = ActionStatus::kSuccess;
+  }
+  EXPECT_EQ(d.size(), 3u);
   EXPECT_FALSE(d.is_sorted());
   d.sort_by_time();
+  EXPECT_TRUE(d.is_sorted());
   EXPECT_EQ(d[0].time_ms, 1);
-  EXPECT_EQ(d[1].time_ms, 3);
+  EXPECT_EQ(d[1].latency_ms, 0.0);  // equal times keep their order
+  EXPECT_EQ(d[2].latency_ms, 2.0);
+  // Ascending rows under the `false` flag: sort_by_time only confirms it.
+  rows = d.resize_for_overwrite(2, /*ascending=*/false);
+  rows.times[0] = 5;
+  rows.times[1] = 6;
+  EXPECT_FALSE(d.is_sorted());
+  d.sort_by_time();
+  EXPECT_TRUE(d.is_sorted());
+  EXPECT_EQ(d.times()[1], 6);
+  // Replacing the contents drops the old rows; one row is always sorted.
+  EXPECT_TRUE(d.resize_for_overwrite(1, /*ascending=*/false).times.size() == 1 && d.is_sorted());
+  EXPECT_TRUE(d.resize_for_overwrite(0, /*ascending=*/false).times.empty() && d.empty());
 }
 
 }  // namespace

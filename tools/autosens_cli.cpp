@@ -313,7 +313,7 @@ telemetry::ValidatedDataset load_scrubbed(const std::string& path,
                                           const telemetry::IngestOptions& ingest = {}) {
   auto loaded = load(path, ingest);
   obs::Span span("validate");
-  auto validated = telemetry::validate(loaded);
+  auto validated = telemetry::validate(loaded, {}, ingest.threads);
   span.attr("kept", static_cast<std::int64_t>(validated.report.kept));
   span.attr("dropped", static_cast<std::int64_t>(validated.report.dropped()));
   obs::log_debug("validate", {{"summary", validated.report.summary()}});
@@ -345,7 +345,8 @@ telemetry::Dataset apply_slice_flags(const telemetry::Dataset& dataset,
   if (const auto action = action_flag(args)) terms.push_back(telemetry::by_action(*action));
   if (const auto cls = class_flag(args)) terms.push_back(telemetry::by_user_class(*cls));
   if (terms.empty()) return dataset;
-  return dataset.filtered(telemetry::all_of(std::move(terms)));
+  return dataset.filtered(telemetry::all_of(std::move(terms)),
+                          args.get_int<std::size_t>("threads", 0));
 }
 
 core::AutoSensOptions options_from_flags(const cli::Args& args) {

@@ -15,7 +15,9 @@
 # emitter/collector pipeline, the parallel execution layer, the metrics
 # registry, the live-scraped introspection server, wire trace propagation,
 # the dispatched SIMD kernels, the out-of-core store's mmap/varint decoders,
-# the fused select pass behind validation, slicing and store windows, and
+# the parallel select kernel behind validation and slicing and the ASL2
+# reader, which both fill unzeroed columns on pool threads, the ingest
+# engine's chunk parsers, the fused select pass behind store windows, and
 # the estimator core, whose accumulator merges per-chunk partials filled on
 # pool threads — the code where memory-safety and data-race bugs would
 # actually live. Pass --soak to also run the slow-labelled soak tests
@@ -50,7 +52,8 @@ targets=(wire_test net_pipeline_test fault_test wire_fuzz_test
          parallel_determinism_test obs_metrics_test obs_trace_test
          obs_log_test obs_server_test simd_kernels_test simd_dispatch_test
          store_test store_prune_test store_soak_test store_summary_test
-         dataset_test filter_test validate_test
+         dataset_test filter_test validate_test select_test ingest_test
+         binlog_test
          pipeline_test streaming_test confounder_time_test confounder_dow_test
          unbiased_test slices_test confidence_test estimator_core_test
          estimator_fixture_test)
