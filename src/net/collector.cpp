@@ -231,11 +231,11 @@ std::size_t Collector::apply_frame(const Frame& frame, Session* session,
                                   : (session != nullptr ? session->trace_span : 0));
       decode_span.attr("seq", static_cast<std::int64_t>(frame.seq));
       try {
-        const auto records = telemetry::codec::decode_batch(frame.payload);
-        stats_.records.add(records.size());
-        collector_metrics().records.inc(records.size());
-        decode_span.attr("records", static_cast<std::int64_t>(records.size()));
-        for (const auto& r : records) dataset_.add(r);
+        telemetry::codec::decode_batch_into(frame.payload, decode_scratch_);
+        stats_.records.add(decode_scratch_.size());
+        collector_metrics().records.inc(decode_scratch_.size());
+        decode_span.attr("records", static_cast<std::int64_t>(decode_scratch_.size()));
+        for (const auto& r : decode_scratch_) dataset_.add(r);
       } catch (const std::runtime_error& error) {
         // CRC-valid but undecodable payload: a sender bug, not line noise.
         // Resync cannot help; drop the stream.

@@ -193,6 +193,9 @@ class Collector {
   CollectorOptions options_;
   std::uint16_t port_ = 0;
   telemetry::Dataset dataset_;
+  /// Records of the data frame being applied; spine-thread only, reused
+  /// across frames so a frame's decode allocates nothing.
+  std::vector<telemetry::ActionRecord> decode_scratch_;
 
   /// One queue per shard: each stays single-producer (the shard thread) /
   /// single-consumer (the spine).

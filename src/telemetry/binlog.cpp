@@ -378,7 +378,7 @@ Dataset read_binlog_v2(std::span<const std::uint8_t> data,
     std::memcpy(out.statuses.data() + plan.dest, status_block, plan.count);
   });
 
-  dataset.sort_by_time();
+  dataset.sort_by_time(options.threads);
   return dataset;
 }
 
@@ -412,7 +412,7 @@ Dataset read_binlog_v1(std::span<const std::uint8_t> data,
   Dataset dataset;
   std::vector<IngestError> errors;  // ASL1 frames never produce line errors.
   detail::concat_shards(shards, 1, dataset, errors);
-  dataset.sort_by_time();
+  dataset.sort_by_time(options.threads);
   return dataset;
 }
 

@@ -211,7 +211,7 @@ IngestResult ingest_chunks(std::string_view text, std::size_t first_line,
     parse_chunk(text.substr(bounds[c], bounds[c + 1] - bounds[c]), shards[c]);
   });
   detail::concat_shards(shards, first_line, result.dataset, result.errors);
-  result.dataset.sort_by_time();
+  result.dataset.sort_by_time(options.threads);
   result.stats.bytes = text.size();
   result.stats.records = result.dataset.size();
   result.stats.errors = result.errors.size();

@@ -75,7 +75,7 @@ Dataset read_sharded(const std::string& directory, const IngestOptions& options)
     merged.append_columns(shard.times(), shard.latencies(), shard.user_ids(), shard.actions(),
                           shard.user_classes(), shard.statuses());
   }
-  merged.sort_by_time();
+  merged.sort_by_time(options.threads);
 
   std::size_t total_bytes = 0;
   for (const std::size_t b : shard_bytes) total_bytes += b;

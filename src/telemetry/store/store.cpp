@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "stats/scratch.h"
 #include "telemetry/binlog.h"
 #include "telemetry/store/codec.h"
@@ -186,8 +187,14 @@ PartitionData StoredDataset::read_rows(std::size_t i, std::size_t row_begin,
   std::uint64_t bytes_read = 0;
   std::uint64_t bytes_mapped = 0;
   for (std::size_t c = 0; c < kColumnCount; ++c) {
+    // One span per column decode, naming the column and the stored bytes
+    // of the blocks it read.
+    obs::Span column_span("store.decode_column");
+    const std::string_view file_name = kColumnFileNames[c];
+    column_span.attr("column", std::string(file_name.substr(0, file_name.find('.'))));
+    const std::uint64_t bytes_before = bytes_read;
     const ColumnMeta& meta = footer.columns[c];
-    const std::string path = (dir_ / info.dir_name / kColumnFileNames[c]).string();
+    const std::string path = (dir_ / info.dir_name / file_name).string();
     MappedFile map = MappedFile::map(path);
     const auto bytes = map.bytes();
     const ColumnHeader header = parse_column_header(bytes, path);
@@ -321,6 +328,7 @@ PartitionData StoredDataset::read_rows(std::size_t i, std::size_t row_begin,
         break;
     }
     out.maps_.push_back(std::move(map));
+    column_span.attr("bytes", static_cast<std::int64_t>(bytes_read - bytes_before));
   }
 
   // CRC catches corruption, not a well-formed file written with out-of-range

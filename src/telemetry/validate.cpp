@@ -80,7 +80,7 @@ ValidatedDataset validate(const Dataset& input, const ValidationOptions& options
   // Every check reads only time, latency and status; the kernel copies all
   // six columns of the kept rows, in input order.
   ValidatedDataset result = select_rows(input, RowSelector(RecordFilter{}, options), threads);
-  result.dataset.sort_by_time();
+  result.dataset.sort_by_time(threads);
   publish_validation_metrics(result.report);
   return result;
 }

@@ -110,8 +110,8 @@ struct ValidatedDataset {
 
 /// Scrub `input` by drop_reason: the select kernel (telemetry/select.h) with
 /// an empty filter on `threads` pool workers (0 = all hardware threads; the
-/// result is the same for every value), then a stable sort_by_time when the
-/// input was unsorted.
+/// result is the same for every value), then a stable sort_by_time on the
+/// same workers when the input was unsorted.
 ValidatedDataset validate(const Dataset& input, const ValidationOptions& options = {},
                           std::size_t threads = 0);
 

@@ -12,6 +12,9 @@
 #      their partition, row and summary_fallback attributes and their
 #      store.select / store.merge children) must cover at least 90% of the
 #      top-level store_analyze span, and some window must merge summaries;
+#      a --class run reads rows, and each of its store.select spans holds
+#      one store.decode_column span per column of every partition it read,
+#      with column and bytes attributes;
 #   5. `store export` -> `store build` must reproduce every partition file
 #      byte-for-byte (the round-trip golden property).
 #
@@ -139,6 +142,42 @@ coverage = sum(e["dur"] for e in children) / max(root["dur"], 1)
 if coverage < 0.9:
     sys.exit(f"FAIL: child spans cover {coverage:.1%} of store_analyze (< 90%)")
 print(f"store_analyze span coverage {coverage:.1%} over {len(windows)} windows")
+PY
+
+# A class filter takes the row path: every partition a window reads shows
+# up as one store.decode_column span per column under its store.select.
+"$CLI" store analyze --in "$WORK/store" --action SelectMail --class Business --window-days 1 \
+    --trace-out "$WORK/decode.json" > /dev/null
+"$PYTHON" - "$WORK/decode.json" <<'PY'
+import json
+import sys
+
+events = [e for e in json.load(open(sys.argv[1]))["traceEvents"] if e.get("ph") == "X"]
+windows = {e["args"]["id"]: e for e in events if e["name"] == "store.window"}
+selects = [e for e in events
+           if e["name"] == "store.select" and e["args"].get("parent") in windows]
+select_ids = {s["args"]["id"] for s in selects}
+decodes = [e for e in events
+           if e["name"] == "store.decode_column" and e["args"].get("parent") in select_ids]
+if not decodes:
+    sys.exit("FAIL: no store.decode_column span under store.select")
+columns = {"time", "latency", "user", "action", "class", "status"}
+for decode in decodes:
+    if decode["args"].get("column") not in columns or "bytes" not in decode["args"]:
+        sys.exit(f"FAIL: store.decode_column span lacks column/bytes: {decode['args']}")
+for select in selects:
+    window = windows[select["args"]["parent"]]
+    mine = [d for d in decodes if d["args"]["parent"] == select["args"]["id"]]
+    partitions = int(window["args"]["partitions_scanned"])
+    if len(mine) != partitions * len(columns):
+        sys.exit(f"FAIL: {len(mine)} column decode spans for {partitions} partitions read")
+    if partitions and {d["args"]["column"] for d in mine} != columns:
+        sys.exit("FAIL: a store.select did not decode all six columns")
+    decoded = sum(int(d["args"]["bytes"]) for d in mine)
+    if decoded != int(window["args"]["bytes_read"]):
+        sys.exit(f"FAIL: column decodes read {decoded} bytes, "
+                 f"the window {window['args']['bytes_read']}")
+print(f"{len(decodes)} store.decode_column spans under {len(selects)} store.select spans")
 PY
 
 # Round trip: export the store to a binlog, rebuild, compare byte-for-byte.

@@ -882,8 +882,9 @@ int cmd_store_build(const cli::Args& args) {
     rows = telemetry::store::build_store_from_binlog(in, out, options,
                                                      ingest_options_from_flags(args));
   } else {
-    auto dataset = load(in, ingest_options_from_flags(args));
-    dataset.sort_by_time();
+    const telemetry::IngestOptions ingest = ingest_options_from_flags(args);
+    auto dataset = load(in, ingest);
+    dataset.sort_by_time(ingest.threads);
     telemetry::store::build_store(dataset, out, options);
     rows = dataset.size();
   }
