@@ -76,7 +76,7 @@ int main() {
 
   // --- Ablation B: with vs without alpha-normalization ------------------
   std::cout << "Ablation B — naive pooling vs alpha-normalization\n\n";
-  const auto planted = simulate::expected_pooled_curve(
+  const auto planted = simulate::expected_class_curve(
       workload.config, telemetry::ActionType::kSelectMail, telemetry::UserClass::kBusiness,
       options.reference_latency_ms);
   auto naive_options = options;

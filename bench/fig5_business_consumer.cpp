@@ -45,10 +45,10 @@ int main() {
   std::cout << '\n';
 
   // Planted ground truth: consumer drop is 0.65x the business drop.
-  const auto planted_business = simulate::expected_pooled_curve(
+  const auto planted_business = simulate::expected_class_curve(
       workload.config, telemetry::ActionType::kSelectMail,
       telemetry::UserClass::kBusiness, options.reference_latency_ms);
-  const auto planted_consumer = simulate::expected_pooled_curve(
+  const auto planted_consumer = simulate::expected_class_curve(
       workload.config, telemetry::ActionType::kSelectMail,
       telemetry::UserClass::kConsumer, options.reference_latency_ms);
 

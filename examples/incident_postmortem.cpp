@@ -91,7 +91,7 @@ int main() {
             << " ms -> " << (screening.worth_analyzing ? "analyze" : "skip") << "\n\n";
 
   stats::Random random(7);
-  const auto result = core::analyze_with_confidence(slice, options,
+  const auto result = core::analyze_with_confidence(slice.columns(), options,
                                                     {500.0, 1000.0, 1500.0},
                                                     {.replicates = 30}, random);
   report::Table curve({"latency (ms)", "NLP", "90% CI"});

@@ -41,7 +41,7 @@ int main() {
   const auto result = core::analyze(slice, options);
 
   // 5. Compare with the planted ground truth at a few anchor latencies.
-  const auto planted = simulate::expected_pooled_curve(
+  const auto planted = simulate::expected_class_curve(
       config, telemetry::ActionType::kSelectMail, telemetry::UserClass::kBusiness,
       options.reference_latency_ms);
   report::Table table({"latency (ms)", "planted", "recovered"});

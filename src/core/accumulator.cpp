@@ -541,9 +541,7 @@ std::vector<SlotStat> Accumulator::solve_alpha() const {
 }
 
 stats::Histogram Accumulator::biased(std::span<const SlotStat> slots) const {
-  // Pooled, like the result of every other histogram fill: the buffer leaves
-  // the pool with the result and is freed with it.
-  stats::Histogram out = make_latency_histogram_pooled(options_);
+  stats::Histogram out = make_latency_histogram(options_);
   const std::size_t bins = fine_.size();
   for (std::size_t i = 0; i < bins; ++i) {
     if (slots.empty()) {
@@ -562,7 +560,7 @@ stats::Histogram Accumulator::biased(std::span<const SlotStat> slots) const {
 }
 
 stats::Histogram Accumulator::unbiased() const {
-  stats::Histogram out = make_latency_histogram_pooled(options_);
+  stats::Histogram out = make_latency_histogram(options_);
   if (u_time2_ <= 0) return out;
   const auto observed = static_cast<double>(u_time2_);
   for (std::size_t i = 0; i < fine_.size(); ++i) {

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <optional>
+#include <span>
 #include <stdexcept>
+#include <string>
 
 #include "core/parallel.h"
 #include "core/pipeline.h"
@@ -12,7 +14,7 @@
 namespace autosens::core {
 namespace {
 
-/// One non-empty day of the dataset: its calendar day index and the record
+/// One non-empty day of the input: its calendar day index and the sample
 /// range [first, last) covering it.
 struct DayRange {
   std::int64_t day = 0;
@@ -20,10 +22,21 @@ struct DayRange {
   std::size_t last = 0;
 };
 
-/// Non-empty day ranges via binary search over the sorted times column —
-/// O(days · log records) rather than a full record scan.
-std::vector<DayRange> day_ranges(const telemetry::Dataset& dataset) {
-  const auto times = dataset.times();
+/// Throws std::invalid_argument unless `columns` is non-empty, aligned and
+/// sorted by time — the day ranges below binary-search the times.
+void check_sorted(telemetry::SampleColumns columns, const std::string& caller) {
+  if (columns.empty()) throw std::invalid_argument(caller + ": empty columns");
+  if (columns.latencies.size() != columns.size()) {
+    throw std::invalid_argument(caller + ": time and latency columns differ in size");
+  }
+  if (!std::is_sorted(columns.times.begin(), columns.times.end())) {
+    throw std::invalid_argument(caller + ": times not sorted");
+  }
+}
+
+/// Non-empty day ranges via binary search over the sorted times —
+/// O(days · log samples) rather than a full scan.
+std::vector<DayRange> day_ranges(std::span<const std::int64_t> times) {
   const std::int64_t first_day = telemetry::day_index(times.front());
   const std::int64_t last_day = telemetry::day_index(times.back());
   std::vector<DayRange> days;
@@ -39,31 +52,41 @@ std::vector<DayRange> day_ranges(const telemetry::Dataset& dataset) {
   return days;
 }
 
-/// Draw the day-slot assignment. Slot s is filled with a uniformly drawn source day, shifted onto day s
-/// (keeping time-of-day); slot-major order is globally time-sorted.
-std::vector<telemetry::DatasetView::Block> draw_blocks(std::span<const DayRange> days,
-                                                       stats::Random& random) {
-  std::vector<telemetry::DatasetView::Block> blocks;
-  blocks.reserve(days.size());
+/// Draw a source day for every slot, then write the drawn days' samples
+/// slot by slot, each shifted onto its slot's day.
+Resample resample_days(telemetry::SampleColumns columns, std::span<const DayRange> days,
+                       stats::Random& random) {
+  std::vector<const DayRange*> drawn;
+  drawn.reserve(days.size());
+  std::size_t size = 0;
   for (std::size_t slot = 0; slot < days.size(); ++slot) {
-    const auto& source = days[random.uniform_index(days.size())];
-    const std::int64_t day_shift =
-        (static_cast<std::int64_t>(slot) - source.day) * telemetry::kMillisPerDay;
-    blocks.push_back({source.first, source.last, day_shift});
+    drawn.push_back(&days[random.uniform_index(days.size())]);
+    size += drawn.back()->last - drawn.back()->first;
   }
-  return blocks;
+  Resample out;
+  out.times.resize(size);
+  out.latencies.resize(size);
+  std::size_t at = 0;
+  for (std::size_t slot = 0; slot < drawn.size(); ++slot) {
+    const DayRange& source = *drawn[slot];
+    const std::int64_t shift =
+        (static_cast<std::int64_t>(slot) - source.day) * telemetry::kMillisPerDay;
+    for (std::size_t i = source.first; i < source.last; ++i, ++at) {
+      out.times[at] = columns.times[i] + shift;
+      out.latencies[at] = columns.latencies[i];
+    }
+  }
+  return out;
 }
 
 }  // namespace
 
-telemetry::DatasetView day_block_resample(const telemetry::Dataset& dataset,
-                                          stats::Random& random) {
-  if (dataset.empty()) throw std::invalid_argument("day_block_resample: empty dataset");
-  const auto days = day_ranges(dataset);
-  return telemetry::DatasetView(dataset, draw_blocks(days, random));
+Resample day_block_resample(telemetry::SampleColumns columns, stats::Random& random) {
+  check_sorted(columns, "day_block_resample");
+  return resample_days(columns, day_ranges(columns.times), random);
 }
 
-PreferenceWithConfidence analyze_with_confidence(const telemetry::Dataset& dataset,
+PreferenceWithConfidence analyze_with_confidence(telemetry::SampleColumns columns,
                                                  const AutoSensOptions& options,
                                                  std::vector<double> probe_latencies,
                                                  const ConfidenceOptions& confidence,
@@ -75,8 +98,10 @@ PreferenceWithConfidence analyze_with_confidence(const telemetry::Dataset& datas
     throw std::invalid_argument("analyze_with_confidence: confidence must be in (0,1)");
   }
 
+  check_sorted(columns, "analyze_with_confidence");
+
   PreferenceWithConfidence result;
-  result.point = analyze(dataset, options);
+  result.point = analyze(columns, options);
   result.probe_latency_ms = std::move(probe_latencies);
 
   // Each replicate resamples from its own counter-seeded substream and
@@ -89,6 +114,7 @@ PreferenceWithConfidence analyze_with_confidence(const telemetry::Dataset& datas
     std::vector<std::optional<double>> at_probe;
   };
   const std::uint64_t stream_base = random.engine()();
+  const auto days = day_ranges(columns.times);
   std::vector<Replicate> replicate_draws(confidence.replicates);
   parallel_for_items(
       confidence.replicates, options.threads, [&](std::size_t r) {
@@ -96,9 +122,9 @@ PreferenceWithConfidence analyze_with_confidence(const telemetry::Dataset& datas
         auto& slot = replicate_draws[r];
         slot.at_probe.assign(result.probe_latency_ms.size(), std::nullopt);
         try {
-          // The replicate is an index view over `dataset`: O(days) setup,
-          // no record copy or re-sort.
-          const auto curve = analyze(day_block_resample(dataset, substream), options);
+          // The replicate owns its two columns and frees them here.
+          const auto curve =
+              analyze(resample_days(columns, days, substream).columns(), options);
           slot.usable = true;
           for (std::size_t p = 0; p < result.probe_latency_ms.size(); ++p) {
             if (curve.covers(result.probe_latency_ms[p])) {

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "core/options.h"
@@ -20,7 +21,6 @@
 #include "stats/bootstrap.h"
 #include "stats/rng.h"
 #include "telemetry/dataset.h"
-#include "telemetry/dataset_view.h"
 
 namespace autosens::core {
 
@@ -37,18 +37,27 @@ struct PreferenceWithConfidence {
   std::size_t usable_replicates = 0;    ///< Replicates that produced a curve.
 };
 
-/// A day-block resample of `dataset` as a lightweight index view: O(days)
-/// block selection (binary-searched day ranges + per-slot time shifts), no
-/// record copies, no re-sort. The view borrows `dataset` — it must stay
-/// alive and unmodified while the view is used. Days with no records are
-/// squeezed out (slots re-base onto sequential days starting at day 0).
-telemetry::DatasetView day_block_resample(const telemetry::Dataset& dataset,
-                                          stats::Random& random);
+/// One bootstrap replicate: its own time and latency columns, sorted.
+struct Resample {
+  telemetry::Column<std::int64_t> times;
+  telemetry::Column<double> latencies;
 
-/// Run AutoSens and attach bootstrap intervals at `probe_latencies`.
-/// Replicates whose resample cannot support a curve (or does not cover a
-/// probe) contribute nothing at that probe. Throws like analyze().
-PreferenceWithConfidence analyze_with_confidence(const telemetry::Dataset& dataset,
+  telemetry::SampleColumns columns() const noexcept { return {times, latencies}; }
+};
+
+/// A day-block resample of `columns`: one slot per non-empty day, each
+/// filled with a uniformly drawn day's samples shifted onto the slot's day
+/// (time-of-day kept), so slot-major order is time-sorted and needs no sort.
+/// Days with no samples are squeezed out (slots re-base onto sequential
+/// days starting at day 0). The columns are written once, in slot order.
+/// Throws std::invalid_argument on empty, misaligned or unsorted columns.
+Resample day_block_resample(telemetry::SampleColumns columns, stats::Random& random);
+
+/// Run AutoSens on `columns` (sorted, as day_block_resample requires) and
+/// attach bootstrap intervals at `probe_latencies`. Replicates whose
+/// resample cannot support a curve (or does not cover a probe) contribute
+/// nothing at that probe. Throws like analyze() and day_block_resample().
+PreferenceWithConfidence analyze_with_confidence(telemetry::SampleColumns columns,
                                                  const AutoSensOptions& options,
                                                  std::vector<double> probe_latencies,
                                                  const ConfidenceOptions& confidence,

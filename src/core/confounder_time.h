@@ -38,8 +38,9 @@ class TimeNormalizer {
   /// std::invalid_argument otherwise.
   TimeNormalizer(const telemetry::Dataset& dataset, const AutoSensOptions& options);
 
-  /// Column-view variant for bootstrap views and other sorted-by-construction
-  /// columns. Precondition (not checked): columns.times sorted ascending.
+  /// Column variant for bootstrap replicates, selected samples and other
+  /// sorted-by-construction columns. Precondition (not checked):
+  /// columns.times sorted ascending.
   TimeNormalizer(telemetry::SampleColumns columns, const AutoSensOptions& options);
 
   /// One entry per time-of-day class (even classes without records).

@@ -95,16 +95,6 @@ PreferenceResult analyze(const telemetry::Dataset& dataset, const AutoSensOption
   return analyze_detailed(dataset, options).preference;
 }
 
-AnalysisResult analyze_detailed(const telemetry::DatasetView& view,
-                                const AutoSensOptions& options) {
-  if (view.empty()) throw std::invalid_argument("analyze: empty dataset");
-  return analyze_columns(view.columns(), {}, options);
-}
-
-PreferenceResult analyze(const telemetry::DatasetView& view, const AutoSensOptions& options) {
-  return analyze_detailed(view, options).preference;
-}
-
 AnalysisResult analyze_detailed(telemetry::SampleColumns columns,
                                 const AutoSensOptions& options) {
   if (columns.empty()) throw std::invalid_argument("analyze: empty dataset");

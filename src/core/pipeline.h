@@ -12,7 +12,6 @@
 #include "core/unbiased.h"
 #include "stats/histogram.h"
 #include "telemetry/dataset.h"
-#include "telemetry/dataset_view.h"
 
 namespace autosens::core {
 
@@ -24,14 +23,6 @@ AnalysisResult analyze_detailed(const telemetry::Dataset& dataset,
 
 /// Convenience: just the preference curve.
 PreferenceResult analyze(const telemetry::Dataset& dataset, const AutoSensOptions& options);
-
-/// Run AutoSens on a bootstrap view (day_block_resample output) without
-/// materializing a Dataset: the estimators stream the view's shifted
-/// columns. Identical math — a view and its materialize()d dataset produce
-/// byte-identical results.
-AnalysisResult analyze_detailed(const telemetry::DatasetView& view,
-                                const AutoSensOptions& options);
-PreferenceResult analyze(const telemetry::DatasetView& view, const AutoSensOptions& options);
 
 /// Run AutoSens on bare time/latency columns — the rows a select pass kept
 /// (telemetry/select.h) — without a Dataset around them. Byte-identical to

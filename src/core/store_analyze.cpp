@@ -199,11 +199,8 @@ void analyze_store_windows(const telemetry::store::StoredDataset& store,
       telemetry::all_of(terms),
       stream.scrub ? std::optional(stream.validation) : std::nullopt);
   const std::string_view fallback = summary_fallback(options, stream);
-  // Only a confidence window gathers whole rows (the bootstrap resamples a
-  // Dataset); every other window keeps just time and latency, in one buffer
-  // all windows reuse.
-  using UserIds = telemetry::store::StoredDataset::UserIds;
-  const UserIds user_ids = stream.with_confidence ? UserIds::kMaterialize : UserIds::kCheckOnly;
+  // Every window keeps just time and latency, in one buffer all windows
+  // reuse; confidence windows resample those columns too.
   telemetry::SampleBuffer samples;
   std::vector<Segment> segments;
   constexpr std::int64_t kMaxTime = std::numeric_limits<std::int64_t>::max();
@@ -222,15 +219,7 @@ void analyze_store_windows(const telemetry::store::StoredDataset& store,
       samples.clear();
       segments.clear();
       selector.reset_report();
-      telemetry::Dataset gathered;  // Confidence windows only.
       const auto visit = [&](std::size_t partition, const telemetry::RowColumns& part) {
-        if (stream.with_confidence) {
-          selector.for_each_kept_run(part, [&](const telemetry::RowColumns& run) {
-            gathered.append_columns(run.times, run.latencies, run.user_ids, run.actions,
-                                    run.user_classes, run.statuses);
-          });
-          return;
-        }
         const std::size_t at = samples.size();
         samples.append(part, selector);
         if (samples.size() == at) return;
@@ -255,12 +244,13 @@ void analyze_store_windows(const telemetry::store::StoredDataset& store,
       };
       const auto scan = [&] {
         obs::Span select_span("store.select");
-        return store.scan_window(begin, end, stream.action, stream.user_class, user_ids, visit,
+        return store.scan_window(begin, end, stream.action, stream.user_class,
+                                 telemetry::store::StoredDataset::UserIds::kCheckOnly, visit,
                                  fallback == "none" ? use_summary
                                                     : std::function<bool(std::size_t)>{});
       }();
       telemetry::ValidationReport report = selector.report();
-      result.records = stream.with_confidence ? gathered.size() : samples.size();
+      result.records = samples.size();
       for (const Segment& segment : segments) {
         if (!segment.summarized) continue;
         const auto& summaries = store.footer(segment.partition).summaries;
@@ -278,7 +268,7 @@ void analyze_store_windows(const telemetry::store::StoredDataset& store,
           if (stream.with_confidence) {
             stats::Random random(stream.confidence_seed);
             result.confidence = analyze_with_confidence(
-                gathered, options, stream.probe_latencies, stream.confidence, random);
+                samples.columns(), options, stream.probe_latencies, stream.confidence, random);
             result.preference = result.confidence->point;
           } else {
             Accumulator accumulator(ClassGrid::kSlot, options);

@@ -17,9 +17,10 @@
 // exactly once, in time order, with its true neighbours: row stretches in
 // bulk, and the runs at segment edges one at a time, joining equal-time
 // runs a shard cut split. Every opened block of every column is still
-// CRC-checked and decoded — the compressed user column too, though no
-// selection reads it, so it is decoded block by block and not kept. A
-// merged summary blob is CRC-checked and validated against its footer.
+// CRC-checked and decoded, except that the compressed user column, which
+// no selection reads, only has its varints checked
+// (codec::check_delta_u64), keeping no value. A merged summary blob is
+// CRC-checked and validated against its footer.
 //
 // Summaries are not used, and the window's summary_fallback names why, when
 // the window asks for something they do not hold: a user_class filter
@@ -27,8 +28,9 @@
 // ("validation"), intervals ("confidence"), a non-default bin_width_ms,
 // max_latency_ms, alpha_bin_width_ms or alpha_slot_ms ("geometry"), or the
 // Monte-Carlo U ("mc"). Such a window reads every partition as rows; the
-// loop is otherwise the same. Confidence windows gather the selected rows'
-// six columns into a Dataset, because the bootstrap resamples one.
+// loop is otherwise the same. A confidence window resamples the same
+// buffer of kept times and latencies, so it checks the user column without
+// keeping it, like every other window.
 //
 // Equivalence contract: each window's result is byte-identical to running
 // analyze()/analyze_with_confidence() on the same rows cut out of a fully
@@ -69,9 +71,10 @@ struct StoreStreamOptions {
   /// also prune partitions whose footer counts hold none of the slice.
   std::optional<telemetry::ActionType> action;
   std::optional<telemetry::UserClass> user_class;
-  /// Attach day-block bootstrap intervals per window. Each window gets a
-  /// fresh generator seeded with `confidence_seed`, so a window's interval
-  /// does not depend on which windows ran before it.
+  /// Attach day-block bootstrap intervals per window, resampled from the
+  /// window's kept time and latency columns (no other column is kept).
+  /// Each window gets a fresh generator seeded with `confidence_seed`, so a
+  /// window's interval does not depend on which windows ran before it.
   bool with_confidence = false;
   ConfidenceOptions confidence;
   std::vector<double> probe_latencies;

@@ -36,7 +36,7 @@ stats::Histogram unbiased_histogram_mc(std::span<const std::int64_t> times,
   return parallel_map_reduce<stats::Histogram>(
       options.unbiased_draws, options.threads, kDrawChunk,
       [&](std::size_t begin, std::size_t end, std::size_t chunk) {
-        auto histogram = make_latency_histogram_pooled(options);
+        auto histogram = make_latency_histogram(options);
         if (end > begin) {
           stats::Random substream(stats::substream_seed(stream_base, chunk));
           const auto draws = stats::nearest_sample_draws(times, window.begin_ms,
@@ -46,7 +46,7 @@ stats::Histogram unbiased_histogram_mc(std::span<const std::int64_t> times,
         }
         return histogram;
       },
-      merge_and_recycle);
+      [](stats::Histogram& into, stats::Histogram&& partial) { into.merge(partial); });
 }
 
 stats::Histogram unbiased_histogram_voronoi(std::span<const std::int64_t> times,
@@ -61,12 +61,12 @@ stats::Histogram unbiased_histogram_voronoi(std::span<const std::int64_t> times,
   return parallel_map_reduce<stats::Histogram>(
       latencies.size(), options.threads, kRecordChunk,
       [&](std::size_t begin, std::size_t end, std::size_t /*chunk*/) {
-        auto histogram = make_latency_histogram_pooled(options);
+        auto histogram = make_latency_histogram(options);
         histogram.add_all(latencies.subspan(begin, end - begin),
                           std::span<const double>(weights).subspan(begin, end - begin));
         return histogram;
       },
-      merge_and_recycle);
+      [](stats::Histogram& into, stats::Histogram&& partial) { into.merge(partial); });
 }
 
 stats::Histogram unbiased_histogram(telemetry::SampleColumns columns,

@@ -47,10 +47,10 @@ double pooled_period_scale(const WorkloadConfig& config) {
   return sum / telemetry::kDayPeriodCount;
 }
 
-stats::PiecewiseLinearCurve expected_pooled_curve(const WorkloadConfig& config,
-                                                  telemetry::ActionType type,
-                                                  telemetry::UserClass user_class,
-                                                  double ref_ms) {
+stats::PiecewiseLinearCurve expected_class_curve(const WorkloadConfig& config,
+                                                 telemetry::ActionType type,
+                                                 telemetry::UserClass user_class,
+                                                 double ref_ms) {
   const PreferenceModel model(config.preference);
   return model.expected_curve(type, user_class, /*mean_percentile=*/0.5,
                               pooled_period_scale(config), ref_ms);

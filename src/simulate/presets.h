@@ -33,10 +33,10 @@ double pooled_period_scale(const WorkloadConfig& config);
 /// Planted normalized-latency-preference curves AutoSens should recover,
 /// normalized at `ref_ms` (the paper uses 300 ms):
 /// pooled over hours and users of one class —
-stats::PiecewiseLinearCurve expected_pooled_curve(const WorkloadConfig& config,
-                                                  telemetry::ActionType type,
-                                                  telemetry::UserClass user_class,
-                                                  double ref_ms);
+stats::PiecewiseLinearCurve expected_class_curve(const WorkloadConfig& config,
+                                                 telemetry::ActionType type,
+                                                 telemetry::UserClass user_class,
+                                                 double ref_ms);
 /// one 6-hour period (Fig 7) —
 stats::PiecewiseLinearCurve expected_period_curve(const WorkloadConfig& config,
                                                   telemetry::ActionType type,

@@ -19,18 +19,6 @@ Histogram::Histogram(double lo, double bin_width, std::size_t bin_count)
   }
 }
 
-Histogram::Histogram(double lo, double bin_width, std::size_t bin_count,
-                     std::vector<double>&& buffer)
-    : lo_(lo), width_(bin_width), counts_(std::move(buffer)) {
-  if (!(bin_width > 0.0)) {
-    throw std::invalid_argument("Histogram: bin_width must be positive");
-  }
-  if (bin_count == 0) {
-    throw std::invalid_argument("Histogram: bin_count must be nonzero");
-  }
-  counts_.assign(bin_count, 0.0);
-}
-
 Histogram Histogram::covering(double lo, double hi, double bin_width) {
   if (!(hi > lo)) throw std::invalid_argument("Histogram::covering: hi must exceed lo");
   if (!(bin_width > 0.0)) {
@@ -38,23 +26,6 @@ Histogram Histogram::covering(double lo, double hi, double bin_width) {
   }
   const auto bins = static_cast<std::size_t>(std::ceil((hi - lo) / bin_width));
   return Histogram(lo, bin_width, std::max<std::size_t>(bins, 1));
-}
-
-Histogram Histogram::covering(double lo, double hi, double bin_width,
-                              std::vector<double>&& buffer) {
-  if (!(hi > lo)) throw std::invalid_argument("Histogram::covering: hi must exceed lo");
-  if (!(bin_width > 0.0)) {
-    throw std::invalid_argument("Histogram::covering: bin_width must be positive");
-  }
-  const auto bins = static_cast<std::size_t>(std::ceil((hi - lo) / bin_width));
-  return Histogram(lo, bin_width, std::max<std::size_t>(bins, 1), std::move(buffer));
-}
-
-std::vector<double> Histogram::release_counts() noexcept {
-  std::vector<double> out = std::move(counts_);
-  counts_.assign(1, 0.0);
-  total_ = 0.0;
-  return out;
 }
 
 std::size_t Histogram::bin_index(double value) const noexcept {

@@ -18,22 +18,9 @@ class Histogram {
   /// Throws std::invalid_argument on non-positive width or zero bins.
   Histogram(double lo, double bin_width, std::size_t bin_count);
 
-  /// Same geometry, but adopts `buffer` as the counts storage (resized and
-  /// zeroed to bin_count) — pair with stats::ScratchPool to build per-chunk
-  /// partials without an allocation per chunk.
-  Histogram(double lo, double bin_width, std::size_t bin_count, std::vector<double>&& buffer);
-
   /// Convenience: covers [lo, hi) with bins of `bin_width` (last bin may
   /// extend past hi so that the full range is covered).
   static Histogram covering(double lo, double hi, double bin_width);
-
-  /// covering() over an adopted buffer (see the adopting constructor).
-  static Histogram covering(double lo, double hi, double bin_width,
-                            std::vector<double>&& buffer);
-
-  /// Move the counts storage out (to return it to a scratch pool). Leaves
-  /// the histogram empty with a single zero bin.
-  std::vector<double> release_counts() noexcept;
 
   void add(double value, double weight = 1.0) noexcept;
   void add_all(std::span<const double> values) noexcept;

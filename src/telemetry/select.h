@@ -63,23 +63,6 @@ class RowSelector {
     report_ = report;
   }
 
-  /// Call flush(run) for every maximal run of consecutive kept rows, in
-  /// order — the row-copying consumers insert whole runs.
-  template <typename Flush>
-  void for_each_kept_run(const RowColumns& rows, Flush&& flush) {
-    std::size_t begin = 0;
-    std::size_t end = 0;  // [begin, end) is the open run; empty when equal.
-    for_each_row(rows, [&](std::size_t i, bool kept) {
-      if (!kept) return;
-      if (i != end) {
-        if (end > begin) flush(rows.slice(begin, end - begin));
-        begin = i;
-      }
-      end = i + 1;
-    });
-    if (end > begin) flush(rows.slice(begin, end - begin));
-  }
-
  private:
   RowMatcher match_;
   std::optional<ValidationOptions> scrub_;

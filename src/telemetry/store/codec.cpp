@@ -69,6 +69,15 @@ void decode_delta_u64(std::span<const std::uint8_t> in, std::span<std::uint64_t>
   check_consumed(in, offset, "delta-u64");
 }
 
+void check_delta_u64(std::span<const std::uint8_t> in, std::size_t rows) {
+  std::size_t offset = 0;
+  for (std::size_t i = 0; i < rows; ++i) {
+    std::uint64_t encoded = 0;
+    if (!get_varint(in, offset, encoded)) truncated("delta-u64");
+  }
+  check_consumed(in, offset, "delta-u64");
+}
+
 void encode_rle_u8(std::span<const std::uint8_t> values, std::vector<std::uint8_t>& out) {
   std::size_t i = 0;
   while (i < values.size()) {

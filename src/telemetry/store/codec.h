@@ -8,6 +8,7 @@
 // block that passes its CRC but was written short still fails loudly.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -25,6 +26,10 @@ void decode_delta_i64(std::span<const std::uint8_t> in, std::span<std::int64_t> 
 /// with wrap-around uint64 arithmetic, so arbitrary id sequences round-trip.
 void encode_delta_u64(std::span<const std::uint64_t> values, std::vector<std::uint8_t>& out);
 void decode_delta_u64(std::span<const std::uint8_t> in, std::span<std::uint64_t> out);
+/// Checks a kDeltaVarint block of `rows` unsigned values without writing
+/// them: the same varint walk as decode_delta_u64, so it throws exactly
+/// when that would, with the same message.
+void check_delta_u64(std::span<const std::uint8_t> in, std::size_t rows);
 
 /// kRle over byte-wide enum columns: (value, run-length varint) pairs.
 void encode_rle_u8(std::span<const std::uint8_t> values, std::vector<std::uint8_t>& out);

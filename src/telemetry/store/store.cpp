@@ -8,7 +8,6 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "stats/scratch.h"
 #include "telemetry/binlog.h"
 #include "telemetry/store/codec.h"
 #include "telemetry/store/footer.h"
@@ -251,11 +250,10 @@ PartitionData StoredDataset::read_rows(std::size_t i, std::size_t row_begin,
             codec::decode_delta_u64(slice, {out.owned_user_ids_.data() + at, n});
           });
         } else if (meta.codec == ColumnCodec::kDeltaVarint && id == ColumnId::kUserId) {
-          // Checked, not kept: every block still decodes (so corrupt bytes
-          // throw exactly as above), each into the same block buffer.
-          stats::PooledVector<std::uint64_t> block(block_rows);
+          // Checked, not kept: every block runs the decoder's varint walk,
+          // so corrupt bytes throw exactly as above, and no value is written.
           each_block([&](auto slice, std::size_t, std::size_t n) {
-            codec::decode_delta_u64(slice, {block.data(), n});
+            codec::check_delta_u64(slice, n);
           });
         } else if (meta.codec == ColumnCodec::kRle && c >= 3) {
           auto& owned = out.owned_bytes_[c - 3];

@@ -94,9 +94,10 @@ class StoredDataset {
   /// Materialize one whole partition (CRC-verified; raw columns zero-copy).
   PartitionData read_partition(std::size_t i) const;
   /// Whether a read hands out the user column. Either way every block of all
-  /// six columns in the range is CRC-checked and decoded; kCheckOnly decodes
-  /// a compressed user column block by block into one reused buffer and
-  /// leaves user_ids() empty, for readers no filter term needs it for.
+  /// six columns in the range is CRC-checked and decoded; kCheckOnly walks
+  /// a compressed user column's varints with codec::check_delta_u64 (same
+  /// errors, no values written) and leaves user_ids() empty, for readers no
+  /// filter term needs it for.
   enum class UserIds { kMaterialize, kCheckOnly };
 
   /// Materialize rows [row_begin, row_end) of partition i, touching only the

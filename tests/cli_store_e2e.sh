@@ -15,7 +15,10 @@
 #      a --class run reads rows, and each of its store.select spans holds
 #      one store.decode_column span per column of every partition it read,
 #      with column and bytes attributes;
-#   5. `store export` -> `store build` must reproduce every partition file
+#   5. `store analyze --confidence` prints the same windows, records and
+#      NLP as the summarized run, each window span says summary_fallback=
+#      confidence, and `analyze --confidence` reports its usable replicates;
+#   6. `store export` -> `store build` must reproduce every partition file
 #      byte-for-byte (the round-trip golden property).
 #
 # Usage: cli_store_e2e.sh <autosens_cli> [python3]
@@ -179,6 +182,45 @@ for select in selects:
                  f"the window {window['args']['bytes_read']}")
 print(f"{len(decodes)} store.decode_column spans under {len(selects)} store.select spans")
 PY
+
+# Confidence windows take the row path but keep the same rows: the window,
+# records and NLP columns match the summarized run's, and every window says
+# why it read rows.
+for days in 7 1; do
+  "$CLI" store analyze --in "$WORK/store" --action SelectMail --window-days "$days" \
+      > "$WORK/plain.out"
+  "$CLI" store analyze --in "$WORK/store" --action SelectMail --window-days "$days" \
+      --confidence --replicates 5 --trace-out "$WORK/confidence.json" > "$WORK/confidence.out"
+  columns() { awk 'NR > 2 && !/ windows, / { print $1, $2, $6, $7, $8 }' "$1"; }
+  if [[ "$(columns "$WORK/plain.out")" != "$(columns "$WORK/confidence.out")" ]] ||
+      [[ -z "$(columns "$WORK/plain.out")" ]]; then
+    echo "FAIL: --confidence windows (--window-days $days) disagree with the plain run" >&2
+    diff "$WORK/plain.out" "$WORK/confidence.out" >&2 || true
+    exit 1
+  fi
+  "$PYTHON" - "$WORK/confidence.json" <<'PY'
+import json
+import sys
+
+events = [e for e in json.load(open(sys.argv[1]))["traceEvents"] if e.get("ph") == "X"]
+windows = [e for e in events if e["name"] == "store.window"]
+if not windows:
+    sys.exit("FAIL: --confidence run has no store.window spans")
+for window in windows:
+    if window["args"].get("summary_fallback") != "confidence":
+        sys.exit(f"FAIL: a --confidence window has summary_fallback="
+                 f"{window['args'].get('summary_fallback')}")
+PY
+done
+
+# The in-memory bootstrap: intervals over the whole SelectMail slice.
+"$CLI" analyze --in "$WORK/data.bin" --action SelectMail --confidence --replicates 5 \
+    > "$WORK/analyze_ci.out" 2> /dev/null
+grep -Eq '^\([0-9]+ usable bootstrap replicates\)$' "$WORK/analyze_ci.out" || {
+  echo "FAIL: analyze --confidence did not report its usable replicates" >&2
+  cat "$WORK/analyze_ci.out" >&2
+  exit 1
+}
 
 # Round trip: export the store to a binlog, rebuild, compare byte-for-byte.
 "$CLI" store export --in "$WORK/store" --out "$WORK/back.bin" --batch 1000 \

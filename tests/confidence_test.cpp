@@ -8,6 +8,8 @@
 #include <cstdint>
 #include <set>
 #include <span>
+#include <utility>
+#include <vector>
 
 #include "simulate/generator.h"
 #include "simulate/presets.h"
@@ -43,19 +45,30 @@ std::uint64_t column_digest(std::span<const std::int64_t> times,
 
 TEST(DayBlockResampleTest, EmptyDatasetThrows) {
   stats::Random random(1);
-  EXPECT_THROW(day_block_resample(telemetry::Dataset{}, random), std::invalid_argument);
+  EXPECT_THROW(day_block_resample(telemetry::Dataset{}.columns(), random),
+               std::invalid_argument);
+}
+
+TEST(DayBlockResampleTest, UnsortedOrMisalignedColumnsThrow) {
+  const std::vector<std::int64_t> times = {0, 2 * telemetry::kMillisPerDay, 1000};
+  const std::vector<double> latencies = {100.0, 200.0, 300.0};
+  stats::Random random(1);
+  EXPECT_THROW(day_block_resample({times, latencies}, random), std::invalid_argument);
+  EXPECT_THROW(day_block_resample({times, std::span(latencies).first(2)}, random),
+               std::invalid_argument);
 }
 
 TEST(DayBlockResampleTest, PreservesSizeOrderAndTimeOfDay) {
   const auto slice = small_slice(61);
   stats::Random random(2);
-  const auto resampled = day_block_resample(slice, random);
+  const auto resampled = day_block_resample(slice.columns(), random);
   // Same day count → similar (not necessarily equal) record count; the
-  // view's slot-major order is globally time-sorted.
-  const auto times = resampled.times();
+  // slot-major order is globally time-sorted.
+  const auto times = resampled.columns().times;
+  ASSERT_EQ(resampled.latencies.size(), times.size());
   EXPECT_TRUE(std::is_sorted(times.begin(), times.end()));
-  EXPECT_GT(resampled.size(), slice.size() / 2);
-  EXPECT_LT(resampled.size(), slice.size() * 2);
+  EXPECT_GT(times.size(), slice.size() / 2);
+  EXPECT_LT(times.size(), slice.size() * 2);
   // Every record keeps a valid hour-of-day distribution: daytime-heavy.
   std::size_t day = 0;
   std::size_t night = 0;
@@ -70,42 +83,33 @@ TEST(DayBlockResampleTest, PreservesSizeOrderAndTimeOfDay) {
 TEST(DayBlockResampleTest, SpansSameDayRange) {
   const auto slice = small_slice(62);
   stats::Random random(3);
-  const auto resampled = day_block_resample(slice, random);
-  EXPECT_EQ(telemetry::day_index(resampled.begin_time()),
+  const auto resampled = day_block_resample(slice.columns(), random);
+  EXPECT_EQ(telemetry::day_index(resampled.columns().begin_time()),
             telemetry::day_index(slice.begin_time()));
-  EXPECT_LE(telemetry::day_index(resampled.end_time() - 1),
+  EXPECT_LE(telemetry::day_index(resampled.columns().end_time() - 1),
             telemetry::day_index(slice.end_time() - 1));
 }
 
 TEST(DayBlockResampleTest, ActuallyResamples) {
   const auto slice = small_slice(63);
   stats::Random random(4);
-  const auto a = day_block_resample(slice, random);
-  const auto b = day_block_resample(slice, random);
-  EXPECT_NE(a.size(), b.size());  // overwhelmingly likely with 14 days
+  const auto a = day_block_resample(slice.columns(), random);
+  const auto b = day_block_resample(slice.columns(), random);
+  EXPECT_NE(a.times.size(), b.times.size());  // overwhelmingly likely with 14 days
 }
 
-TEST(DayBlockResampleTest, ViewMatchesFrozenDigest) {
+TEST(DayBlockResampleTest, ResampleMatchesFrozenDigest) {
   // Golden determinism check: the resample of a fixed slice under a fixed
-  // generator state, frozen when the view was proven identical to a
+  // generator state, frozen when the resample was proven identical to a
   // deep-copying resampler (same draws, same record order, then re-sort).
   const auto slice = small_slice(68);
   stats::Random random(9);
-  const auto view = day_block_resample(slice, random);
-  ASSERT_EQ(view.size(), 133406u);
-  EXPECT_EQ(view.times().front(), 1047);
-  EXPECT_EQ(view.times().back(), 1209595984);
-  EXPECT_EQ(column_digest(view.times(), view.latencies()), 0x80b2718bf81f7583ULL);
-  // The record gather agrees with the columns, and materializing keeps the
-  // exact rows in the same (sorted) order.
-  for (const std::size_t i : {std::size_t{0}, view.size() / 2, view.size() - 1}) {
-    EXPECT_EQ(view[i].time_ms, view.times()[i]);
-    EXPECT_EQ(view[i].latency_ms, view.latencies()[i]);
-  }
-  const auto materialized = view.materialize();
-  EXPECT_TRUE(materialized.is_sorted());
-  EXPECT_EQ(column_digest(materialized.times(), materialized.latencies()),
-            0x80b2718bf81f7583ULL);
+  const auto resampled = day_block_resample(slice.columns(), random);
+  ASSERT_EQ(resampled.times.size(), 133406u);
+  ASSERT_EQ(resampled.latencies.size(), 133406u);
+  EXPECT_EQ(resampled.times.front(), 1047);
+  EXPECT_EQ(resampled.times.back(), 1209595984);
+  EXPECT_EQ(column_digest(resampled.times, resampled.latencies), 0x80b2718bf81f7583ULL);
 }
 
 TEST(DayBlockResampleTest, SingleDayDatasetResamplesToItself) {
@@ -120,12 +124,12 @@ TEST(DayBlockResampleTest, SingleDayDatasetResamplesToItself) {
            .status = telemetry::ActionStatus::kSuccess});
   }
   stats::Random random(10);
-  const auto view = day_block_resample(d, random);
-  ASSERT_EQ(view.size(), d.size());
-  EXPECT_EQ(view.block_count(), 1u);
-  for (std::size_t i = 0; i < view.size(); ++i) {
-    EXPECT_EQ(view[i].time_ms, static_cast<std::int64_t>(i) * 1000);
-    EXPECT_DOUBLE_EQ(view[i].latency_ms, 100.0 + static_cast<double>(i));
+  const auto resampled = day_block_resample(d.columns(), random);
+  ASSERT_EQ(resampled.times.size(), d.size());
+  ASSERT_EQ(resampled.latencies.size(), d.size());
+  for (std::size_t i = 0; i < d.size(); ++i) {
+    EXPECT_EQ(resampled.times[i], static_cast<std::int64_t>(i) * 1000);
+    EXPECT_DOUBLE_EQ(resampled.latencies[i], 100.0 + static_cast<double>(i));
   }
 }
 
@@ -137,36 +141,59 @@ TEST(DayBlockResampleTest, EmptyMiddleDaysAreSqueezedOut) {
   for (const std::int64_t day : {std::int64_t{0}, std::int64_t{3}}) {
     for (int i = 0; i < 5; ++i) {
       d.add({.time_ms = day * telemetry::kMillisPerDay + i * 60'000, .user_id = 2,
-             .latency_ms = 50.0,
+             .latency_ms = 50.0 + static_cast<double>(day),
              .action = telemetry::ActionType::kSelectMail,
              .user_class = telemetry::UserClass::kConsumer,
              .status = telemetry::ActionStatus::kSuccess});
     }
   }
   stats::Random random(11);
-  const auto view = day_block_resample(d, random);
-  EXPECT_EQ(view.block_count(), 2u);
-  EXPECT_EQ(view.size(), 10u);
-  EXPECT_LE(telemetry::day_index(view.end_time() - 1), 1);
-  const auto times = view.times();
-  EXPECT_TRUE(std::is_sorted(times.begin(), times.end()));
+  const auto resampled = day_block_resample(d.columns(), random);
+  ASSERT_EQ(resampled.times.size(), 10u);
+  ASSERT_EQ(resampled.latencies.size(), 10u);
+  // Slot s holds one whole source day, shifted onto day s with its
+  // time-of-day kept; its latencies say which day was drawn.
+  for (std::size_t slot = 0; slot < 2; ++slot) {
+    const double drawn = resampled.latencies[5 * slot];
+    ASSERT_TRUE(drawn == 50.0 || drawn == 53.0) << drawn;
+    for (std::size_t i = 0; i < 5; ++i) {
+      EXPECT_EQ(resampled.times[5 * slot + i],
+                static_cast<std::int64_t>(slot) * telemetry::kMillisPerDay +
+                    static_cast<std::int64_t>(i) * 60'000);
+      EXPECT_EQ(resampled.latencies[5 * slot + i], drawn);
+    }
+  }
 }
 
 TEST(AnalyzeWithConfidenceTest, Validation) {
   const auto slice = small_slice(64);
   stats::Random random(5);
-  EXPECT_THROW(analyze_with_confidence(slice, AutoSensOptions{}, {500.0},
+  EXPECT_THROW(analyze_with_confidence(slice.columns(), AutoSensOptions{}, {500.0},
                                        {.replicates = 0, .confidence = 0.9}, random),
                std::invalid_argument);
-  EXPECT_THROW(analyze_with_confidence(slice, AutoSensOptions{}, {500.0},
+  EXPECT_THROW(analyze_with_confidence(slice.columns(), AutoSensOptions{}, {500.0},
                                        {.replicates = 5, .confidence = 1.0}, random),
+               std::invalid_argument);
+}
+
+TEST(AnalyzeWithConfidenceTest, EmptyOrUnsortedColumnsThrow) {
+  stats::Random random(5);
+  EXPECT_THROW(analyze_with_confidence(telemetry::Dataset{}.columns(), AutoSensOptions{},
+                                       {500.0}, {.replicates = 2}, random),
+               std::invalid_argument);
+  // A sorted slice with two samples swapped.
+  const auto slice = small_slice(64);
+  std::vector<std::int64_t> times(slice.times().begin(), slice.times().end());
+  std::swap(times.front(), times.back());
+  EXPECT_THROW(analyze_with_confidence({times, slice.latencies()}, AutoSensOptions{}, {500.0},
+                                       {.replicates = 2}, random),
                std::invalid_argument);
 }
 
 TEST(AnalyzeWithConfidenceTest, IntervalsCoverPointEstimate) {
   const auto slice = small_slice(65);
   stats::Random random(6);
-  const auto result = analyze_with_confidence(slice, AutoSensOptions{},
+  const auto result = analyze_with_confidence(slice.columns(), AutoSensOptions{},
                                               {500.0, 1000.0}, {.replicates = 12}, random);
   EXPECT_EQ(result.usable_replicates, 12u);
   ASSERT_EQ(result.intervals.size(), 2u);
@@ -200,8 +227,8 @@ TEST(AnalyzeWithConfidenceTest, IntervalsMatchFrozenBits) {
   for (const auto& golden : goldens) {
     SCOPED_TRACE(testing::Message() << "seed=" << golden.seed);
     stats::Random random(golden.seed);
-    const auto result = analyze_with_confidence(slice, AutoSensOptions{}, {500.0, 1000.0},
-                                                {.replicates = 8}, random);
+    const auto result = analyze_with_confidence(slice.columns(), AutoSensOptions{},
+                                                {500.0, 1000.0}, {.replicates = 8}, random);
     EXPECT_EQ(result.usable_replicates, 8u);
     ASSERT_EQ(result.intervals.size(), 2u);
     for (std::size_t p = 0; p < 2; ++p) {
@@ -219,11 +246,11 @@ TEST(AnalyzeWithConfidenceTest, IntervalsContainPlantedValueMostOfTheTime) {
                              {telemetry::by_action(telemetry::ActionType::kSelectMail),
                               telemetry::by_user_class(telemetry::UserClass::kBusiness)}));
   stats::Random random(7);
-  const auto result = analyze_with_confidence(slice, AutoSensOptions{}, {500.0},
+  const auto result = analyze_with_confidence(slice.columns(), AutoSensOptions{}, {500.0},
                                               {.replicates = 16, .confidence = 0.95}, random);
   // The point estimate itself lies in the interval; the planted value sits
   // within the interval widened by the known attenuation bias.
-  const auto planted = simulate::expected_pooled_curve(
+  const auto planted = simulate::expected_class_curve(
       config, telemetry::ActionType::kSelectMail, telemetry::UserClass::kBusiness, 300.0);
   EXPECT_GT(planted(500.0), result.intervals[0].lo - 0.08);
   EXPECT_LT(planted(500.0), result.intervals[0].hi + 0.08);

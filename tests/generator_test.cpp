@@ -202,8 +202,8 @@ TEST(PresetsTest, PooledPeriodScaleNearOne) {
 
 TEST(PresetsTest, ExpectedPooledCurveMatchesAnchors) {
   const auto config = paper_config(Scale::kMedium);
-  const auto curve = expected_pooled_curve(config, telemetry::ActionType::kSelectMail,
-                                           telemetry::UserClass::kBusiness, 300.0);
+  const auto curve = expected_class_curve(config, telemetry::ActionType::kSelectMail,
+                                          telemetry::UserClass::kBusiness, 300.0);
   EXPECT_NEAR(curve(300.0), 1.0, 1e-9);
   EXPECT_NEAR(curve(500.0), 0.88, 0.02);
   EXPECT_NEAR(curve(1000.0), 0.68, 0.03);

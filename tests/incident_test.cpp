@@ -104,8 +104,8 @@ TEST(IncidentTest, PreferenceEstimateRobustToIncidents) {
   const auto result = core::analyze(slice, core::AutoSensOptions{});
   EXPECT_NEAR(result.at(300.0), 1.0, 1e-9);
   EXPECT_GT(result.at(500.0), result.at(1000.0));
-  const auto planted = expected_pooled_curve(config, telemetry::ActionType::kSelectMail,
-                                             telemetry::UserClass::kBusiness, 300.0);
+  const auto planted = expected_class_curve(config, telemetry::ActionType::kSelectMail,
+                                            telemetry::UserClass::kBusiness, 300.0);
   EXPECT_NEAR(result.at(1000.0), planted(1000.0), 0.10);
 }
 

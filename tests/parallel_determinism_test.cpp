@@ -211,12 +211,12 @@ TEST(ParallelDeterminismTest, ConfidenceIntervalsAcrossThreadCounts) {
 
   options.threads = 1;
   stats::Random base_rng(55);
-  const auto baseline = core::analyze_with_confidence(dataset, options, {500.0, 1000.0},
+  const auto baseline = core::analyze_with_confidence(dataset.columns(), options, {500.0, 1000.0},
                                                       confidence, base_rng);
   for (const std::size_t threads : kThreadSweep) {
     options.threads = threads;
     stats::Random rng(55);
-    const auto run = core::analyze_with_confidence(dataset, options, {500.0, 1000.0},
+    const auto run = core::analyze_with_confidence(dataset.columns(), options, {500.0, 1000.0},
                                                    confidence, rng);
     expect_identical(baseline.point, run.point);
     EXPECT_EQ(baseline.usable_replicates, run.usable_replicates);

@@ -55,8 +55,8 @@ TEST(PipelineTest, RecoveryOfPlantedPreferenceShape) {
   const auto slice = select_mail_business(Scale::kSmall, 31);
   const auto result = analyze(slice, AutoSensOptions{});
   const auto planted =
-      simulate::expected_pooled_curve(paper_config(Scale::kSmall, 31),
-                                      ActionType::kSelectMail, UserClass::kBusiness, 300.0);
+      simulate::expected_class_curve(paper_config(Scale::kSmall, 31),
+                                     ActionType::kSelectMail, UserClass::kBusiness, 300.0);
   EXPECT_NEAR(result.at(300.0), 1.0, 1e-9);
   for (const double latency : {500.0, 750.0, 1000.0}) {
     ASSERT_TRUE(result.covers(latency));
@@ -91,8 +91,8 @@ TEST(PipelineTest, NormalizationImprovesRecovery) {
   const double drop_naive = 1.0 - naive.at(1000.0);
   EXPECT_GT(drop_normalized, drop_naive + 0.03);
   // And the normalized drop is closer to the planted one.
-  const auto planted = simulate::expected_pooled_curve(config, ActionType::kSelectMail,
-                                                       UserClass::kBusiness, 300.0);
+  const auto planted = simulate::expected_class_curve(config, ActionType::kSelectMail,
+                                                      UserClass::kBusiness, 300.0);
   const double drop_planted = 1.0 - planted(1000.0);
   EXPECT_LT(std::abs(drop_normalized - drop_planted), std::abs(drop_naive - drop_planted));
 }

@@ -1,6 +1,6 @@
 // The parallel select kernel (telemetry/select.h) behind validate() and
-// Dataset::filtered(), against serial references kept here: the run-copy
-// loop validate() used before the kernel, and gather(filter.rows()). Every
+// Dataset::filtered(), against serial references kept here: a record-by-
+// record copy of the rows the selector keeps, and gather(filter.rows()). Every
 // case must match byte for byte in all six columns, the sorted flag and
 // every ValidationReport field, at several thread counts.
 #include "telemetry/select.h"
@@ -23,14 +23,13 @@ namespace {
 constexpr std::size_t kChunk = kSelectChunkRows;
 constexpr std::size_t kThreadCounts[] = {1, 2, 8};
 
-/// validate() as it was before the kernel: copy kept rows as contiguous
-/// runs, one append per run and column, then a stable sort.
+/// validate() without the kernel: add the kept rows one record at a time,
+/// then a stable sort.
 ValidatedDataset reference_validate(const Dataset& input, const ValidationOptions& options) {
   ValidatedDataset result;
   RowSelector selector(RecordFilter{}, options);
-  selector.for_each_kept_run(input.row_columns(), [&](const RowColumns& run) {
-    result.dataset.append_columns(run.times, run.latencies, run.user_ids, run.actions,
-                                  run.user_classes, run.statuses);
+  selector.for_each_row(input.row_columns(), [&](std::size_t i, bool kept) {
+    if (kept) result.dataset.add(input[i]);
   });
   result.dataset.sort_by_time();
   result.report = selector.report();

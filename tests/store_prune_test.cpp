@@ -227,11 +227,11 @@ TEST_F(StorePruneTest, ConfidenceIntervalsBitIdenticalWithSameSeed) {
   confidence.replicates = 10;
 
   stats::Random random_a(17);
-  const auto expect = core::analyze_with_confidence(window_of(dataset_, begin, end), options,
-                                                    probes, confidence, random_a);
+  const auto expect = core::analyze_with_confidence(window_of(dataset_, begin, end).columns(),
+                                                    options, probes, confidence, random_a);
   stats::Random random_b(17);
-  const auto got = core::analyze_with_confidence(store().load_window(begin, end).dataset,
-                                                 options, probes, confidence, random_b);
+  const auto got = core::analyze_with_confidence(
+      store().load_window(begin, end).dataset.columns(), options, probes, confidence, random_b);
   expect_bitwise_equal(expect.point, got.point);
   ASSERT_EQ(expect.intervals.size(), got.intervals.size());
   for (std::size_t p = 0; p < expect.intervals.size(); ++p) {
@@ -424,7 +424,8 @@ TEST_F(StoreSelectTest, WindowsMatchValidateFilterAnalyzeOracle) {
                 if (with_confidence) {
                   stats::Random random(stream.confidence_seed);
                   confidence = core::analyze_with_confidence(
-                      expect, options, stream.probe_latencies, stream.confidence, random);
+                      expect.columns(), options, stream.probe_latencies, stream.confidence,
+                      random);
                   point = confidence->point;
                 } else {
                   point = core::analyze(expect, options);

@@ -7,6 +7,8 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -99,6 +101,79 @@ TEST(StoreCodecTest, DecodersRejectTruncationAndTrailingBytes) {
   EXPECT_THROW(codec::decode_delta_i64(trailing, out), std::runtime_error);
   std::vector<std::uint8_t> rle_out(2);
   EXPECT_THROW(codec::decode_rle_u8(encoded, rle_out), std::runtime_error);
+}
+
+/// What decode_delta_u64 or check_delta_u64 says about `in` read as
+/// `rows` values: the runtime_error message, or "" when it passes.
+std::string delta_u64_verdict(std::span<const std::uint8_t> in, std::size_t rows, bool check) {
+  try {
+    if (check) {
+      codec::check_delta_u64(in, rows);
+    } else {
+      std::vector<std::uint64_t> out(rows);
+      codec::decode_delta_u64(in, out);
+    }
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return {};
+}
+
+/// check_delta_u64 throws exactly when decode_delta_u64 does, with the same
+/// message; returns that verdict.
+std::string expect_same_delta_u64_verdict(std::span<const std::uint8_t> in, std::size_t rows) {
+  const std::string decoded = delta_u64_verdict(in, rows, false);
+  EXPECT_EQ(delta_u64_verdict(in, rows, true), decoded)
+      << in.size() << " bytes as " << rows << " rows";
+  return decoded;
+}
+
+TEST(StoreCodecTest, CheckDeltaU64ThrowsExactlyWhenDecodeDoes) {
+  stats::Random random(20);
+  // Ids of every varint length, both delta signs and the wrap-around.
+  std::vector<std::uint64_t> values = {0, std::numeric_limits<std::uint64_t>::max(), 1};
+  for (int i = 0; i < 200; ++i) {
+    values.push_back(random.uniform_index(std::uint64_t{1} << random.uniform_index(64)));
+  }
+  std::vector<std::uint8_t> block;
+  codec::encode_delta_u64(values, block);
+
+  // Valid blocks, empty ones included.
+  EXPECT_EQ(expect_same_delta_u64_verdict(block, values.size()), "");
+  EXPECT_EQ(expect_same_delta_u64_verdict({}, 0), "");
+  for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{64}}) {
+    std::vector<std::uint8_t> prefix;
+    codec::encode_delta_u64(std::span(values).first(n), prefix);
+    EXPECT_EQ(expect_same_delta_u64_verdict(prefix, n), "");
+  }
+  // Every truncation of the block.
+  for (std::size_t len = 0; len < block.size(); ++len) {
+    EXPECT_NE(expect_same_delta_u64_verdict(std::span(block).first(len), values.size()), "");
+  }
+  // One trailing byte, and a block read as one row too many.
+  auto trailing = block;
+  trailing.push_back(0);
+  EXPECT_NE(expect_same_delta_u64_verdict(trailing, values.size()), "");
+  EXPECT_NE(expect_same_delta_u64_verdict(block, values.size() + 1), "");
+  // An over-long varint: ten continuation bytes before the terminator.
+  std::vector<std::uint8_t> overlong(10, 0x80);
+  overlong.push_back(0x01);
+  EXPECT_NE(expect_same_delta_u64_verdict(overlong, 1), "");
+  // Seeded garbage: a mix of continuation and terminator bytes, read half
+  // the time as as many rows as it has terminators, so both verdicts occur.
+  std::size_t passed = 0;
+  for (int k = 0; k < 1000; ++k) {
+    std::vector<std::uint8_t> garbage(random.uniform_index(48));
+    std::size_t terminators = 0;
+    for (auto& byte : garbage) {
+      byte = static_cast<std::uint8_t>(random.uniform_index(256));
+      terminators += byte < 0x80 ? 1 : 0;
+    }
+    const std::size_t rows = k % 2 == 0 ? terminators : random.uniform_index(24);
+    passed += expect_same_delta_u64_verdict(garbage, rows).empty() ? 1 : 0;
+  }
+  EXPECT_GT(passed, 0u);
+  EXPECT_LT(passed, 1000u);
 }
 
 TEST(StoreFooterTest, FooterRoundtrip) {

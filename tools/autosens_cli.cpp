@@ -436,7 +436,7 @@ int cmd_analyze(const cli::Args& args) {
     core::ConfidenceOptions confidence;
     confidence.replicates = args.get_int<std::size_t>("replicates", 50);
     const auto result = core::analyze_with_confidence(
-        slice, options, {500.0, 750.0, 1000.0, 1500.0, 2000.0}, confidence, random);
+        slice.columns(), options, {500.0, 750.0, 1000.0, 1500.0, 2000.0}, confidence, random);
     report::Table table({"latency (ms)", "NLP", "90% CI"});
     for (std::size_t p = 0; p < result.probe_latency_ms.size(); ++p) {
       const double latency = result.probe_latency_ms[p];

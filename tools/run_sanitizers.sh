@@ -20,7 +20,7 @@
 # sort's scatter and gather, the ingest
 # engine's chunk parsers, the fused select pass behind store windows, and
 # the estimator core, whose accumulator merges per-chunk partials filled on
-# pool threads — the code where memory-safety and data-race bugs would
+# pool threads, with the histograms it builds and merges — the code where memory-safety and data-race bugs would
 # actually live. Pass --soak to also run the slow-labelled soak tests
 # (ctest -C soak -L slow) in each tree.
 #
@@ -57,7 +57,7 @@ targets=(wire_test net_pipeline_test fault_test wire_fuzz_test
          binlog_test
          pipeline_test streaming_test confounder_time_test confounder_dow_test
          unbiased_test slices_test confidence_test estimator_core_test
-         estimator_fixture_test)
+         estimator_fixture_test histogram_test biased_test)
 
 jobs="$(nproc 2>/dev/null || echo 2)"
 
