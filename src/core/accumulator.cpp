@@ -277,9 +277,9 @@ Accumulator Accumulator::fill(telemetry::SampleColumns columns, ClassGrid grid,
   };
   // Merges are exact, so the chunk grid may follow the thread count: two
   // chunks per worker keep every worker busy, and the partials (tens of KiB
-  // each) stay few.
-  const std::size_t per_chunk =
-      std::max(kRecordChunk, n / (2 * resolve_threads(options.threads)));
+  // each) stay few. One worker fills one chunk.
+  const std::size_t workers = resolve_threads(options.threads);
+  const std::size_t per_chunk = workers == 1 ? n : std::max(kRecordChunk, n / (2 * workers));
   return parallel_map_reduce<Accumulator>(
       n, options.threads, per_chunk,
       [&](std::size_t begin, std::size_t end, std::size_t /*chunk*/) {

@@ -72,9 +72,8 @@ std::vector<TimeWindow> period_windows(const telemetry::Dataset& dataset,
   return period_windows_in(dataset.begin_time(), dataset.end_time(), period);
 }
 
-std::vector<TimeWindow> period_windows(telemetry::SampleColumns columns,
-                                       telemetry::DayPeriod period) {
-  return period_windows_in(columns.begin_time(), columns.end_time(), period);
+std::vector<TimeWindow> period_windows(TimeWindow range, telemetry::DayPeriod period) {
+  return period_windows_in(range.begin_ms, range.end_ms, period);
 }
 
 std::array<PeriodAlpha, telemetry::kDayPeriodCount> alpha_by_period(

@@ -82,8 +82,8 @@ std::array<PeriodAlpha, telemetry::kDayPeriodCount> alpha_by_period(
 /// period slicing and the per-period unbiased distributions).
 std::vector<TimeWindow> period_windows(const telemetry::Dataset& dataset,
                                        telemetry::DayPeriod period);
-std::vector<TimeWindow> period_windows(telemetry::SampleColumns columns,
-                                       telemetry::DayPeriod period);
+/// The same over a data range [range.begin_ms, range.end_ms).
+std::vector<TimeWindow> period_windows(TimeWindow range, telemetry::DayPeriod period);
 
 /// The paper's Table 1 worked example: two slots ("day", "night") × two
 /// latency bins ("low", "high"). Inputs are the action counts and the

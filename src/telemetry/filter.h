@@ -109,6 +109,11 @@ class UserQuartiles {
   /// Quartile in [0, 4) for a user; unknown users go to the nearest quartile
   /// by their absence being impossible in our pipelines — throws instead.
   int quartile_of(std::uint64_t user_id) const;
+  /// Quartile in [0, 4) for a user, or `absent` for a user outside the table.
+  int quartile_or(std::uint64_t user_id, int absent) const noexcept {
+    const auto it = assignment_->find(user_id);
+    return it == assignment_->end() ? absent : it->second;
+  }
   bool contains(std::uint64_t user_id) const noexcept { return assignment_->contains(user_id); }
 
   /// Filter keeping the rows of users in quartile q (users outside the table

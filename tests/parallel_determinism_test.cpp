@@ -160,6 +160,43 @@ TEST(ParallelDeterminismTest, PreferenceByActionAcrossThreadCounts) {
   }
 }
 
+TEST(ParallelDeterminismTest, EverySliceFamilyAcrossThreadCounts) {
+  const auto dataset = synthetic_dataset(200'000, 40, 25);
+  const auto families = [&](const AutoSensOptions& options) {
+    using telemetry::ActionType;
+    using telemetry::UserClass;
+    std::vector<std::vector<core::NamedPreference>> out;
+    out.push_back(core::preference_by_action(dataset, options, UserClass::kConsumer));
+    out.push_back(core::preference_by_user_class(dataset, options, ActionType::kSelectMail));
+    out.push_back(core::preference_by_quartile(dataset, dataset, options, ActionType::kSelectMail));
+    out.push_back(core::preference_by_period(dataset, options, ActionType::kSelectMail,
+                                             UserClass::kConsumer));
+    out.push_back(core::preference_by_month(dataset, options, ActionType::kSelectMail));
+    return out;
+  };
+  for (const auto method : {core::UnbiasedMethod::kVoronoi, core::UnbiasedMethod::kMonteCarlo}) {
+    AutoSensOptions options;
+    options.unbiased_method = method;
+    options.unbiased_draws = 20'000;
+    options.threads = 1;
+    const auto baseline = families(options);
+    for (const auto& family : baseline) ASSERT_FALSE(family.empty());
+    for (const std::size_t threads : kThreadSweep) {
+      options.threads = threads;
+      const auto run = families(options);
+      ASSERT_EQ(baseline.size(), run.size());
+      for (std::size_t f = 0; f < baseline.size(); ++f) {
+        ASSERT_EQ(baseline[f].size(), run[f].size()) << "family " << f;
+        for (std::size_t s = 0; s < baseline[f].size(); ++s) {
+          EXPECT_EQ(baseline[f][s].name, run[f][s].name);
+          EXPECT_EQ(baseline[f][s].records, run[f][s].records);
+          expect_identical(baseline[f][s].result, run[f][s].result);
+        }
+      }
+    }
+  }
+}
+
 TEST(ParallelDeterminismTest, BootstrapIntervalsAcrossThreadCounts) {
   stats::Random data_rng(31);
   std::vector<double> sample(5000);

@@ -470,7 +470,6 @@ int cmd_analyze(const cli::Args& args) {
 int cmd_slices(const cli::Args& args) {
   args.allow_only(with_obs({"in", "by", "action", "class", "ref", "bin", "max-latency",
                             "no-normalize", "mc", "threads", "out"}));
-  const auto dataset = load_scrubbed(args.require("in"), ingest_options_from_flags(args)).dataset;
   const std::string by = args.require("by");
   const auto options = options_from_flags(args);
 
@@ -481,28 +480,36 @@ int cmd_slices(const cli::Args& args) {
   const auto user_class = class_flag(args);
 
   std::vector<core::NamedPreference> curves;
-  if (by == "action") {
-    curves = core::preference_by_action(dataset, options, user_class);
-  } else if (by == "class") {
-    curves = core::preference_by_user_class(dataset, options, action());
-  } else if (by == "quartile") {
-    curves = core::preference_by_quartile(dataset, dataset, options, action(), user_class);
-  } else if (by == "period") {
-    curves = core::preference_by_period(dataset, options, action(),
-                                        user_class.value_or(telemetry::UserClass::kBusiness));
-  } else if (by == "month") {
-    curves = core::preference_by_month(dataset, options, action());
-  } else if (by == "dayclass") {
-    auto slice = dataset;
-    if (const auto name = args.get("action")) {
-      slice = apply_slice_flags(dataset, args);
+  {
+    // The printing below stays outside the span: the span is the analysis,
+    // from the load to the last curve.
+    obs::Span span("slices");
+    span.attr("by", by);
+    const auto dataset =
+        load_scrubbed(args.require("in"), ingest_options_from_flags(args)).dataset;
+    if (by == "action") {
+      curves = core::preference_by_action(dataset, options, user_class);
+    } else if (by == "class") {
+      curves = core::preference_by_user_class(dataset, options, action());
+    } else if (by == "quartile") {
+      curves = core::preference_by_quartile(dataset, dataset, options, action(), user_class);
+    } else if (by == "period") {
+      curves = core::preference_by_period(dataset, options, action(),
+                                          user_class.value_or(telemetry::UserClass::kBusiness));
+    } else if (by == "month") {
+      curves = core::preference_by_month(dataset, options, action());
+    } else if (by == "dayclass") {
+      auto slice = dataset;
+      if (const auto name = args.get("action")) {
+        slice = apply_slice_flags(dataset, args);
+      }
+      for (auto& entry : core::preference_by_day_class(slice, options)) {
+        curves.push_back({std::string(core::to_string(entry.day_class)),
+                          std::move(entry.preference), entry.records});
+      }
+    } else {
+      throw std::invalid_argument("unknown --by: " + by);
     }
-    for (auto& entry : core::preference_by_day_class(slice, options)) {
-      curves.push_back({std::string(core::to_string(entry.day_class)),
-                        std::move(entry.preference), entry.records});
-    }
-  } else {
-    throw std::invalid_argument("unknown --by: " + by);
   }
 
   report::Table table({"slice", "records", "NLP@500", "NLP@1000", "NLP@1500"});
