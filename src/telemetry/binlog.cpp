@@ -211,24 +211,33 @@ std::vector<std::uint8_t> encode_batch(std::span<const ActionRecord> records) {
   return out;
 }
 
-std::vector<ActionRecord> decode_batch(std::span<const std::uint8_t> payload) {
-  std::vector<ActionRecord> records;
-  decode_batch_into(payload, records);
-  return records;
-}
+namespace {
 
-void decode_batch_into(std::span<const std::uint8_t> payload, std::vector<ActionRecord>& records) {
-  records.clear();
-  std::size_t offset = 0;
+/// The record count at the front of an ASL1/wire payload; `offset` moves
+/// past it.
+std::uint64_t read_batch_count(std::span<const std::uint8_t> payload, std::size_t& offset) {
   std::uint64_t count = 0;
   if (!get_varint(payload, offset, count)) {
     throw std::runtime_error("decode_batch: truncated count");
   }
-  // `count` is attacker-controlled; every record needs >= 6 payload bytes
-  // (three varints + three enum bytes), so clamp the reserve to that bound
-  // rather than letting a bogus huge count throw bad_alloc instead of the
-  // documented runtime_error from the per-record truncation check below.
-  records.reserve(std::min<std::uint64_t>(count, payload.size() / 6));
+  return count;
+}
+
+/// The most records `payload` can hold whatever its count says: each needs
+/// >= 6 bytes (three varints + three enum bytes). `count` is
+/// attacker-controlled, so what it sizes is clamped to this bound rather
+/// than letting a bogus huge count throw bad_alloc instead of the
+/// documented runtime_error from the per-record truncation check.
+std::size_t max_batch_records(std::span<const std::uint8_t> payload, std::uint64_t count) {
+  return static_cast<std::size_t>(std::min<std::uint64_t>(count, payload.size() / 6));
+}
+
+/// Decode the `count` records after the count varint at `offset`, handing
+/// record i to emit(i, record) once it is whole. Record i has then consumed
+/// at least 1 + 6 * (i + 1) bytes, so i < max_batch_records(payload, count).
+template <typename Emit>
+void decode_records(std::span<const std::uint8_t> payload, std::size_t offset,
+                    std::uint64_t count, const Emit& emit) {
   std::int64_t prev_time = 0;
   std::uint64_t prev_user = 0;
   for (std::uint64_t i = 0; i < count; ++i) {
@@ -254,13 +263,30 @@ void decode_batch_into(std::span<const std::uint8_t> payload, std::vector<Action
     r.action = static_cast<ActionType>(action);
     r.user_class = static_cast<UserClass>(user_class);
     r.status = static_cast<ActionStatus>(status);
-    records.push_back(r);
+    emit(static_cast<std::size_t>(i), r);
     prev_time = r.time_ms;
     prev_user = r.user_id;
   }
   if (offset != payload.size()) {
     throw std::runtime_error("decode_batch: trailing bytes in payload");
   }
+}
+
+}  // namespace
+
+std::vector<ActionRecord> decode_batch(std::span<const std::uint8_t> payload) {
+  std::vector<ActionRecord> records;
+  decode_batch_into(payload, records);
+  return records;
+}
+
+void decode_batch_into(std::span<const std::uint8_t> payload, std::vector<ActionRecord>& records) {
+  records.clear();
+  std::size_t offset = 0;
+  const std::uint64_t count = read_batch_count(payload, offset);
+  records.reserve(max_batch_records(payload, count));
+  decode_records(payload, offset, count,
+                 [&records](std::size_t, const ActionRecord& r) { records.push_back(r); });
 }
 
 }  // namespace codec
@@ -382,36 +408,50 @@ Dataset read_binlog_v2(std::span<const std::uint8_t> data,
   return dataset;
 }
 
-/// ASL1 (legacy row format): decode frames over the fixed chunk grid, one
-/// record-batch scratch vector and one column shard per CHUNK — the scratch
-/// is reused across every frame a chunk decodes, so the per-frame vector
-/// churn the ingest profile showed is gone. Shards concatenate in chunk
-/// order (= frame order), so the record sequence — and after the stable
-/// sort, the dataset — is byte-identical to the per-frame implementation
-/// for every thread count.
+/// ASL1 (legacy row format): each frame's leading record count, clamped by
+/// max_batch_records, sizes its range of the unzeroed output columns; then
+/// the frames decode on the fixed chunk grid straight into their ranges.
+/// Ranges follow frame order, so the record sequence — and after the stable
+/// sort, the dataset — is the same for every thread count. A frame whose
+/// count cannot be read gets an empty range and throws in its decode, after
+/// its CRC check, as decode_batch would.
 Dataset read_binlog_v1(std::span<const std::uint8_t> data,
                        const std::vector<BinlogFrameView>& frames,
                        const IngestOptions& options) {
-  const core::ChunkGrid grid = core::make_chunk_grid(frames.size(), /*min_per_chunk=*/1);
-  std::vector<detail::ColumnShard> shards(grid.chunks);
-  core::parallel_for(frames.size(), options.threads, /*min_per_chunk=*/1,
-                     [&](std::size_t begin, std::size_t end, std::size_t chunk) {
-                       std::vector<ActionRecord> scratch;
-                       detail::ColumnShard& shard = shards[chunk];
-                       for (std::size_t i = begin; i < end; ++i) {
-                         const auto payload =
-                             data.subspan(frames[i].payload_offset, frames[i].payload_len);
-                         if (codec::crc32(payload) != frames[i].crc) {
-                           throw std::runtime_error("read_binlog: crc mismatch");
-                         }
-                         codec::decode_batch_into(payload, scratch);
-                         shard.reserve(shard.size() + scratch.size());
-                         for (const auto& r : scratch) shard.push(r);
-                       }
-                     });
+  std::vector<std::size_t> first_row(frames.size() + 1, 0);
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    const auto payload = data.subspan(frames[i].payload_offset, frames[i].payload_len);
+    std::size_t offset = 0;
+    std::uint64_t count = 0;
+    const std::size_t rows =
+        codec::get_varint(payload, offset, count) ? codec::max_batch_records(payload, count) : 0;
+    first_row[i + 1] = first_row[i] + rows;
+  }
   Dataset dataset;
-  std::vector<IngestError> errors;  // ASL1 frames never produce line errors.
-  detail::concat_shards(shards, 1, dataset, errors);
+  const MutableRowColumns out = dataset.resize_for_overwrite(first_row.back(), false);
+  core::parallel_for(
+      frames.size(), options.threads, /*min_per_chunk=*/1,
+      [&](std::size_t begin, std::size_t end, std::size_t) {
+        for (std::size_t i = begin; i < end; ++i) {
+          const auto payload = data.subspan(frames[i].payload_offset, frames[i].payload_len);
+          if (codec::crc32(payload) != frames[i].crc) {
+            throw std::runtime_error("read_binlog: crc mismatch");
+          }
+          const detail::RowRange rows =
+              detail::row_range(out, first_row[i], first_row[i + 1] - first_row[i]);
+          std::size_t offset = 0;
+          const std::uint64_t count = codec::read_batch_count(payload, offset);
+          codec::decode_records(payload, offset, count,
+                                [&rows](std::size_t k, const ActionRecord& r) {
+                                  rows.times[k] = r.time_ms;
+                                  rows.latencies[k] = r.latency_ms;
+                                  rows.user_ids[k] = r.user_id;
+                                  rows.actions[k] = r.action;
+                                  rows.user_classes[k] = r.user_class;
+                                  rows.statuses[k] = r.status;
+                                });
+        }
+      });
   dataset.sort_by_time(options.threads);
   return dataset;
 }

@@ -1,5 +1,6 @@
 #include "telemetry/csv.h"
 
+#include <bit>
 #include <charconv>
 #include <chrono>
 #include <cstdint>
@@ -70,135 +71,181 @@ LineParse parse_csv_fields(const std::string_view fields[6], ActionRecord& recor
   return LineParse::kRecord;
 }
 
-/// Writer-order fast path: the overwhelmingly common line is exactly what
-/// write_csv emits — six fields, no padding whitespace, no CR. from_chars
-/// doubles as the digit scan for the numeric fields (it stops on the comma
-/// we then require), so only the enum fields need a manual scan. On success
-/// `p` is advanced past the line's '\n'; ANY deviation — spaces, CRLF,
-/// wrong field count, malformed value — returns false with `p` untouched
-/// and the caller re-parses the line with the general splitter, so accepted
-/// records and error messages are identical to the reference parser by
-/// construction (a property the parity tests check against the scalar
-/// oracle).
-bool parse_csv_fast(const char*& p, const char* const end, ActionRecord& record) {
-  const char* q = p;
-  // Inline digit loop instead of from_chars: ≤18 digits cannot overflow a
-  // 64-bit value, so the result matches from_chars exactly; anything longer
-  // (or otherwise unusual) bails to the general path where from_chars rules
-  // on overflow.
-  const auto integer = [&q, end](auto& out) {
-    using T = std::remove_reference_t<decltype(out)>;
-    const char* s = q;
-    bool negative = false;
-    if constexpr (std::is_signed_v<T>) {
-      if (s != end && *s == '-') {
-        negative = true;
-        ++s;
-      }
+/// The shortest line parse_csv_fields accepts: one-digit numbers and the
+/// shortest name of each enum. It bounds how many records a chunk can hold.
+constexpr std::size_t kMinRecordBytes = std::string_view("0,0,Other,0,Business,Error").size();
+
+/// Yields the ',' and '\n' bytes of a chunk in order, found a 64-bit word at
+/// a time: each word's delimiter bytes become one bit mask, and next() pops
+/// its lowest bit. The last word of the chunk is short-copied, so no read
+/// goes past the chunk's end.
+class DelimiterCursor {
+ public:
+  DelimiterCursor(const char* begin, const char* end) noexcept : end_(end) { seek(begin); }
+
+  /// Restart the scan at `p` (a line start after the general splitter).
+  void seek(const char* p) noexcept {
+    word_ = p;
+    mask_ = p == end_ ? 0 : delimiters(p);
+  }
+
+  /// The next ',' or '\n' at or after the scan position, or the chunk end.
+  const char* next() noexcept {
+    while (mask_ == 0) {
+      if (end_ - word_ <= 8) return end_;
+      word_ += 8;
+      mask_ = delimiters(word_);
     }
-    std::uint64_t value = 0;
-    const char* digits = s;
-    while (s != end && *s >= '0' && *s <= '9') {
-      value = value * 10 + static_cast<std::uint64_t>(*s - '0');
+    const char* hit = word_ + (std::countr_zero(mask_) >> 3);
+    mask_ &= mask_ - 1;
+    return hit;
+  }
+
+ private:
+  std::uint64_t delimiters(const char* p) const noexcept {
+    const std::uint64_t word = detail::load_word(p, end_);
+    return detail::byte_mask(word, ',') | detail::byte_mask(word, '\n');
+  }
+
+  const char* word_;
+  const char* const end_;
+  std::uint64_t mask_ = 0;
+};
+
+/// Digits of [s, e), with a leading '-' when T is signed: at most 18 of
+/// them, which cannot overflow 64 bits, so the value matches from_chars.
+/// Anything else (empty, a sign it may not have, 19+ digits, any other
+/// byte) returns false and leaves the line to the general splitter, where
+/// from_chars rules on it.
+template <typename T>
+bool parse_digits(const char* s, const char* const e, T& out) noexcept {
+  bool negative = false;
+  if constexpr (std::is_signed_v<T>) {
+    if (s != e && *s == '-') {
+      negative = true;
       ++s;
     }
-    if (s == digits || s - digits > 18 || s == end || *s != ',') return false;
-    out = negative ? static_cast<T>(-static_cast<std::int64_t>(value)) : static_cast<T>(value);
-    q = s + 1;
-    return true;
-  };
-  // Scan a field up to the next comma; '\n' or end-of-chunk means the line
-  // has too few fields for this position, so bail to the general splitter.
-  const auto field_comma = [&q, end]() -> std::string_view {
-    const char* start = q;
-    while (q != end && *q != ',' && *q != '\n') ++q;
-    if (q == end || *q != ',') return {};
-    return {start, static_cast<std::size_t>(q++ - start)};
-  };
-
-  if (!integer(record.time_ms)) return false;
-  if (!integer(record.user_id)) return false;
-  const auto action = parse_action_type(field_comma());
-  if (!action) return false;
-  record.action = *action;
-  const char* latency_start = q;
-  while (q != end && *q != ',' && *q != '\n') ++q;
-  if (q == end || *q != ',') return false;
-  if (!detail::parse_double({latency_start, static_cast<std::size_t>(q - latency_start)},
-                            record.latency_ms)) {
-    return false;
   }
-  ++q;
-  const auto user_class = parse_user_class(field_comma());
-  if (!user_class) return false;
-  record.user_class = *user_class;
-  // Final field runs to '\n' or end of chunk; a comma here means >6 fields.
-  const char* status_start = q;
-  while (q != end && *q != ',' && *q != '\n') ++q;
-  if (q != end && *q == ',') return false;
-  const auto status =
-      parse_action_status({status_start, static_cast<std::size_t>(q - status_start)});
-  if (!status) return false;
-  record.status = *status;
-  if (q != end) ++q;  // consume the '\n'
-  p = q;
+  if (s == e || e - s > 18) return false;
+  std::uint64_t value = 0;
+  for (; s != e; ++s) {
+    const auto digit = static_cast<unsigned>(*s - '0');
+    if (digit > 9) return false;
+    value = value * 10 + digit;
+  }
+  out = negative ? static_cast<T>(-static_cast<std::int64_t>(value)) : static_cast<T>(value);
   return true;
 }
 
-/// Fused chunk parser: one pass over the bytes classifies ',' and '\n'
-/// together, so there is no separate memchr('\n') sweep per line. A line is
-/// blank exactly when it holds a single all-whitespace field (whitespace
-/// never contains a comma), matching parse_csv_line's trim-then-skip rule.
-void parse_csv_chunk(std::string_view chunk, detail::ColumnShard& shard) {
-  shard.reserve(chunk.size() / 40 + 1);
+/// The general splitter: split the line at `p` on its commas, then parse
+/// and trim its six fields. Leaves `p` past the line's '\n' (or at `end`).
+LineParse parse_csv_general(const char*& p, const char* const end, ActionRecord& record,
+                            std::string& error) {
+  std::string_view fields[6];
+  std::size_t field_count = 0;
+  const char* field_start = p;
+  for (; p != end; ++p) {
+    const char c = *p;
+    if (c == ',') {
+      if (field_count < 6) {
+        fields[field_count] = {field_start, static_cast<std::size_t>(p - field_start)};
+      }
+      ++field_count;
+      field_start = p + 1;
+    } else if (c == '\n') {
+      break;
+    }
+  }
+  if (field_count < 6) {
+    fields[field_count] = {field_start, static_cast<std::size_t>(p - field_start)};
+  }
+  ++field_count;
+  if (p != end) ++p;  // consume the '\n'
+  // A line is blank exactly when it holds a single all-whitespace field
+  // (whitespace never contains a comma), matching parse_csv_line.
+  if (field_count == 1 && trim(fields[0]).empty()) return LineParse::kSkip;
+  if (field_count != 6) {
+    error = "expected 6 fields, got " + std::to_string(field_count);
+    return LineParse::kError;
+  }
+  return parse_csv_fields(fields, record, error);
+}
+
+/// Chunk parser. The fast path takes the line write_csv emits — six
+/// unpadded fields, no CR: the cursor finds its five commas and its '\n'
+/// (or the chunk end), and each field is parsed on those bounds with the
+/// same parsers as the general path. ANY deviation — padding, CRLF, a
+/// wrong field count, a value the fast parsers decline — re-parses the line
+/// with parse_csv_general from its start, so accepted records and error
+/// messages are identical to the reference parser by construction (a
+/// property the parity tests check against the scalar oracle). The row
+/// cursor and column pointers live in locals: the stores of a row then
+/// never make the compiler reload them.
+std::size_t parse_csv_chunk(std::string_view chunk, const detail::RowRange& rows,
+                            std::vector<IngestError>& errors) {
+  std::int64_t* const times = rows.times;
+  double* const latencies = rows.latencies;
+  std::uint64_t* const user_ids = rows.user_ids;
+  ActionType* const actions = rows.actions;
+  UserClass* const user_classes = rows.user_classes;
+  ActionStatus* const statuses = rows.statuses;
+  const std::size_t capacity = rows.capacity;
+  std::size_t n = 0;
+
   const char* p = chunk.data();
   const char* const end = p + chunk.size();
+  DelimiterCursor cursor(p, end);
   ActionRecord record;
   std::string error;
+  std::size_t line = 0;
   while (p != end) {
-    ++shard.lines;
-    if (parse_csv_fast(p, end, record)) {
-      shard.push(record);
-      continue;
-    }
-    std::string_view fields[6];
-    std::size_t field_count = 0;
-    const char* field_start = p;
-    for (; p != end; ++p) {
-      const char c = *p;
-      if (c == ',') {
-        if (field_count < 6) {
-          fields[field_count] = {field_start, static_cast<std::size_t>(p - field_start)};
-        }
-        ++field_count;
-        field_start = p + 1;
-      } else if (c == '\n') {
-        break;
+    ++line;
+    const char* const c0 = cursor.next();
+    const char* const c1 = cursor.next();
+    const char* const c2 = cursor.next();
+    const char* const c3 = cursor.next();
+    const char* const c4 = cursor.next();
+    const char* const eol = cursor.next();
+    if (n < capacity && c4 != end && *c0 == ',' && *c1 == ',' && *c2 == ',' && *c3 == ',' &&
+        *c4 == ',' && (eol == end || *eol == '\n') && parse_digits(p, c0, times[n]) &&
+        parse_digits(c0 + 1, c1, user_ids[n])) {
+      const auto action = parse_action_type({c1 + 1, static_cast<std::size_t>(c2 - c1 - 1)});
+      const auto user_class =
+          parse_user_class({c3 + 1, static_cast<std::size_t>(c4 - c3 - 1)});
+      const auto status =
+          parse_action_status({c4 + 1, static_cast<std::size_t>(eol - c4 - 1)});
+      if (action && user_class && status &&
+          detail::parse_double({c2 + 1, static_cast<std::size_t>(c3 - c2 - 1)},
+                               latencies[n])) {
+        actions[n] = *action;
+        user_classes[n] = *user_class;
+        statuses[n] = *status;
+        ++n;
+        p = eol == end ? end : eol + 1;
+        continue;
       }
     }
-    if (field_count < 6) {
-      fields[field_count] = {field_start, static_cast<std::size_t>(p - field_start)};
-    }
-    ++field_count;
-    if (p != end) ++p;  // consume the '\n'
-    if (field_count == 1 && trim(fields[0]).empty()) continue;  // blank line
-    if (field_count != 6) {
-      shard.errors.push_back(
-          {shard.lines, "expected 6 fields, got " + std::to_string(field_count)});
-      continue;
-    }
-    switch (parse_csv_fields(fields, record, error)) {
+    switch (parse_csv_general(p, end, record, error)) {
       case LineParse::kRecord:
-        shard.push(record);
+        if (n == capacity) detail::throw_range_full();
+        times[n] = record.time_ms;
+        latencies[n] = record.latency_ms;
+        user_ids[n] = record.user_id;
+        actions[n] = record.action;
+        user_classes[n] = record.user_class;
+        statuses[n] = record.status;
+        ++n;
         break;
       case LineParse::kSkip:
         break;
       case LineParse::kError:
-        shard.errors.push_back({shard.lines, std::move(error)});
+        errors.push_back({line, std::move(error)});
         error.clear();
         break;
     }
+    cursor.seek(p);
   }
+  return n;
 }
 
 }  // namespace
@@ -233,12 +280,22 @@ LineParse parse_csv_line(std::string_view line, ActionRecord& record, std::strin
 
 void write_csv(std::ostream& out, const Dataset& dataset) {
   out << kCsvHeader << '\n';
-  for (std::size_t i = 0; i < dataset.size(); ++i) {
+  detail::write_text_rows(out, dataset.size(), [&dataset](char* p, std::size_t i) {
     const ActionRecord r = dataset[i];
-    out << r.time_ms << ',' << r.user_id << ',' << to_string(r.action) << ','
-        << r.latency_ms << ',' << to_string(r.user_class) << ',' << to_string(r.status)
-        << '\n';
-  }
+    p = detail::put_integer(p, r.time_ms);
+    *p++ = ',';
+    p = detail::put_integer(p, r.user_id);
+    *p++ = ',';
+    p = detail::put_text(p, to_string(r.action));
+    *p++ = ',';
+    p = detail::put_latency(p, r.latency_ms);
+    *p++ = ',';
+    p = detail::put_text(p, to_string(r.user_class));
+    *p++ = ',';
+    p = detail::put_text(p, to_string(r.status));
+    *p++ = '\n';
+    return p;
+  });
 }
 
 void write_csv_file(const std::string& path, const Dataset& dataset) {
@@ -248,8 +305,8 @@ void write_csv_file(const std::string& path, const Dataset& dataset) {
   if (!out) throw std::runtime_error("write_csv_file: write failed for " + path);
 }
 
-CsvReadResult read_csv_buffer(std::string_view text, const IngestOptions& options) {
-  text = strip_utf8_bom(text);
+CsvReadResult read_csv_buffer(std::string_view input, const IngestOptions& options) {
+  const std::string_view text = strip_utf8_bom(input);
   const std::size_t newline = text.find('\n');
   const std::string_view header =
       newline == std::string_view::npos ? text : text.substr(0, newline);
@@ -260,8 +317,11 @@ CsvReadResult read_csv_buffer(std::string_view text, const IngestOptions& option
   const std::string_view body =
       newline == std::string_view::npos ? std::string_view{} : text.substr(newline + 1);
 
-  auto ingested = ingest_chunks(body, /*first_line=*/2, options, parse_csv_chunk);
-  return CsvReadResult{std::move(ingested.dataset), std::move(ingested.errors)};
+  auto result = ingest_chunks(body, /*first_line=*/2, kMinRecordBytes, options,
+                              parse_csv_chunk);
+  result.stats.bytes = input.size();
+  result.stats.lines += 1;  // the header
+  return result;
 }
 
 CsvReadResult read_csv(std::istream& in, const IngestOptions& options) {
@@ -275,16 +335,15 @@ CsvReadResult read_csv_file(const std::string& path, const IngestOptions& option
   const MappedFile input = MappedFile::map(path);
   const auto start = std::chrono::steady_clock::now();
   auto result = read_csv_buffer(input.text(), options);
-  IngestStats stats{.bytes = input.size(),
-                    .records = result.dataset.size(),
-                    .errors = result.errors.size(),
-                    .seconds = std::chrono::duration<double>(
-                                   std::chrono::steady_clock::now() - start)
-                                   .count(),
-                    .mapped = input.is_mapped()};
+  IngestStats& stats = result.stats;
+  stats.seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  stats.mapped = input.is_mapped();
   note_ingest("csv", stats);
   span.attr("records", static_cast<std::int64_t>(stats.records));
   span.attr("bytes", static_cast<std::int64_t>(stats.bytes));
+  span.attr("lines", static_cast<std::int64_t>(stats.lines));
+  span.attr("chunks", static_cast<std::int64_t>(stats.chunks));
   return result;
 }
 

@@ -4,15 +4,18 @@
 // are reported with line numbers rather than silently dropped.
 //
 // Reads go through the parallel zero-copy ingest engine (ingest.h): files
-// are memory-mapped and parsed in newline-aligned chunks with
-// std::from_chars over string_view slices, no per-line heap allocations.
+// are memory-mapped and parsed in newline-aligned chunks straight into the
+// dataset's columns, no per-line heap allocations.
 // The result is byte-identical for every thread count. A UTF-8 BOM before
 // the header, CRLF line endings, and a missing trailing newline are all
 // tolerated, identically in the chunked and scalar paths.
 #pragma once
 
+#include <charconv>
 #include <cstddef>
+#include <cstring>
 #include <iosfwd>
+#include <ostream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -28,11 +31,9 @@ inline constexpr const char* kCsvHeader = "time_ms,user_id,action,latency_ms,use
 /// One rejected input row (shared shape with the other text readers).
 using CsvError = IngestError;
 
-/// Result of a CSV read: accepted records plus per-row errors.
-struct CsvReadResult {
-  Dataset dataset;
-  std::vector<CsvError> errors;
-};
+/// Result of a CSV read: accepted records, per-row errors and the ingest's
+/// stats.
+using CsvReadResult = IngestResult;
 
 /// Write `dataset` as CSV (header + one row per record).
 void write_csv(std::ostream& out, const Dataset& dataset);
@@ -51,6 +52,45 @@ CsvReadResult read_csv(std::istream& in, const IngestOptions& options = {});
 CsvReadResult read_csv_file(const std::string& path, const IngestOptions& options = {});
 
 namespace detail {
+
+/// Bytes one formatted row of the CSV or JSON-lines writers may take: two
+/// 20-character integers, a latency and the names and punctuation around
+/// them.
+inline constexpr std::size_t kMaxTextRowBytes = 256;
+
+/// Write `rows` rows of text to `out`: format_row(p, i) writes row i at `p`
+/// (at most kMaxTextRowBytes) and returns its end. Rows are formatted into
+/// one 1 MiB buffer that goes to the stream in a single write when full.
+template <typename FormatRow>
+void write_text_rows(std::ostream& out, std::size_t rows, const FormatRow& format_row) {
+  std::vector<char> buffer(std::size_t{1} << 20);
+  char* const begin = buffer.data();
+  char* const limit = begin + buffer.size() - kMaxTextRowBytes;
+  char* p = begin;
+  for (std::size_t i = 0; i < rows; ++i) {
+    p = format_row(p, i);
+    if (p > limit) {
+      out.write(begin, p - begin);
+      p = begin;
+    }
+  }
+  out.write(begin, p - begin);
+}
+
+/// Formatters for write_text_rows, each returning the end of what it wrote.
+/// Integers print in full and latencies as std::ostream << prints a double
+/// at its default precision, printf's "%g": six significant digits.
+inline char* put_text(char* p, std::string_view text) noexcept {
+  std::memcpy(p, text.data(), text.size());
+  return p + text.size();
+}
+template <typename Integer>
+char* put_integer(char* p, Integer value) noexcept {
+  return std::to_chars(p, p + 20, value).ptr;
+}
+inline char* put_latency(char* p, double value) noexcept {
+  return std::to_chars(p, p + 32, value, std::chars_format::general, 6).ptr;
+}
 
 /// Parse one CSV data line (no '\n'). A blank or all-whitespace line is
 /// kSkip. The per-line reference the parity tests hold the fused chunk

@@ -76,6 +76,16 @@ MutableRowColumns Dataset::resize_for_overwrite(std::size_t n, bool ascending) {
   return {time_ms_, latency_ms_, user_id_, action_, user_class_, status_};
 }
 
+void Dataset::truncate(std::size_t n) {
+  if (n > size()) throw std::out_of_range("Dataset::truncate: more rows than the dataset has");
+  time_ms_.resize(n);
+  latency_ms_.resize(n);
+  user_id_.resize(n);
+  action_.resize(n);
+  user_class_.resize(n);
+  status_.resize(n);
+}
+
 namespace {
 
 /// Rows per chunk of the sort's passes, and the most chunks one sort uses.

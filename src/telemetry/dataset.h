@@ -135,6 +135,10 @@ class Dataset {
   /// sorted dataset); with false the dataset is flagged unsorted, and
   /// sort_by_time() settles it (a scan when the rows ascend after all).
   MutableRowColumns resize_for_overwrite(std::size_t n, bool ascending);
+  /// Keep the first `n` rows (n <= size()) and drop the rest; the sorted
+  /// flag stays as it was. Producers that sized the columns for more rows
+  /// than they wrote (the text readers) trim them with this.
+  void truncate(std::size_t n);
   void reserve(std::size_t capacity);
 
   std::size_t size() const noexcept { return time_ms_.size(); }

@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <charconv>
 #include <cstring>
@@ -172,31 +173,113 @@ std::string_view strip_utf8_bom(std::string_view text) noexcept {
 }
 
 // ---------------------------------------------------------------------------
-// Shard concatenation
+// Row ranges
 
 namespace detail {
 
-void concat_shards(std::vector<ColumnShard>& shards, std::size_t first_line,
-                   Dataset& dataset, std::vector<IngestError>& errors) {
-  std::size_t total_records = 0;
-  std::size_t total_errors = 0;
-  for (const auto& shard : shards) {
-    total_records += shard.size();
-    total_errors += shard.errors.size();
-  }
-  dataset.reserve(dataset.size() + total_records);
-  errors.reserve(errors.size() + total_errors);
-  std::size_t lines_before = 0;
-  for (auto& shard : shards) {
-    dataset.append_columns(shard.time_ms, shard.latency_ms, shard.user_id, shard.action,
-                           shard.user_class, shard.status);
-    for (auto& error : shard.errors) {
-      // Chunk-local (1-based) -> global line number.
-      errors.push_back({first_line + lines_before + error.line - 1,
-                        std::move(error.message)});
+void throw_range_full() {
+  throw std::logic_error("ingest: a chunk holds more records than its row range");
+}
+
+RowRange row_range(const MutableRowColumns& columns, std::size_t first,
+                   std::size_t capacity) noexcept {
+  return {columns.times.data() + first,        columns.latencies.data() + first,
+          columns.user_ids.data() + first,     columns.actions.data() + first,
+          columns.user_classes.data() + first, columns.statuses.data() + first,
+          capacity};
+}
+
+std::size_t count_lines(std::string_view chunk) noexcept {
+  // byte_mask(word) >> 7 is 1 in every byte lane that holds a '\n'. Lanes
+  // add up over at most 255 words, so none can carry into the next, then
+  // fold into the count. The loop has no popcount and no branch per word,
+  // so it compiles to plain vector adds.
+  const auto lane_sum = [](std::uint64_t lanes) {
+    lanes = (lanes & 0x00ff00ff00ff00ffull) + ((lanes >> 8) & 0x00ff00ff00ff00ffull);
+    return static_cast<std::size_t>((lanes * 0x0001000100010001ull) >> 48);
+  };
+  const char* p = chunk.data();
+  const char* const end = p + chunk.size();
+  std::size_t newlines = 0;
+  while (end - p >= 8) {
+    const std::size_t words = std::min<std::size_t>(static_cast<std::size_t>(end - p) / 8, 255);
+    std::uint64_t lanes = 0;
+    for (std::size_t i = 0; i < words; ++i) {
+      std::uint64_t word;
+      std::memcpy(&word, p + 8 * i, 8);
+      lanes += byte_mask(word, '\n') >> 7;
     }
-    lines_before += shard.lines;
+    newlines += lane_sum(lanes);
+    p += 8 * words;
   }
+  if (p != end) newlines += lane_sum(byte_mask(load_word(p, end), '\n') >> 7);
+  const bool unterminated = !chunk.empty() && chunk.back() != '\n';
+  return newlines + (unterminated ? 1 : 0);
+}
+
+ChunkPlan plan_chunk_rows(std::string_view text, std::span<const std::size_t> bounds,
+                          std::size_t min_record_bytes, std::size_t threads,
+                          Dataset& dataset) {
+  ChunkPlan plan;
+  plan.chunks.resize(bounds.size() - 1);
+  core::parallel_for_items(plan.chunks.size(), threads, [&](std::size_t c) {
+    plan.chunks[c].lines = count_lines(text.substr(bounds[c], bounds[c + 1] - bounds[c]));
+  });
+  std::size_t total = 0;
+  for (std::size_t c = 0; c < plan.chunks.size(); ++c) {
+    ChunkRows& chunk = plan.chunks[c];
+    // r record lines of at least min_record_bytes each, all but the last
+    // followed by '\n', need r * (min_record_bytes + 1) - 1 bytes.
+    const std::size_t bytes = bounds[c + 1] - bounds[c];
+    chunk.first_row = total;
+    chunk.capacity = std::min(chunk.lines, (bytes + 1) / (min_record_bytes + 1));
+    total += chunk.capacity;
+  }
+  plan.columns = dataset.resize_for_overwrite(total, /*ascending=*/false);
+  return plan;
+}
+
+void finish_chunk_rows(ChunkPlan& plan, std::size_t first_line, std::size_t threads,
+                       IngestResult& result) {
+  const MutableRowColumns& columns = plan.columns;
+  // Rows of chunk c sit at [first_row, first_row + rows); a range that
+  // ended short leaves a hole after it. Moving each range down in chunk
+  // order only ever overwrites holes and rows already moved.
+  std::size_t rows = 0;
+  std::size_t lines = 0;
+  std::size_t error_count = 0;
+  for (const ChunkRows& chunk : plan.chunks) {
+    if (rows != chunk.first_row && chunk.rows > 0) {
+      const auto move_down = [&](auto column) {
+        std::memmove(column.data() + rows, column.data() + chunk.first_row,
+                     chunk.rows * sizeof(column[0]));
+      };
+      move_down(columns.times);
+      move_down(columns.latencies);
+      move_down(columns.user_ids);
+      move_down(columns.actions);
+      move_down(columns.user_classes);
+      move_down(columns.statuses);
+    }
+    rows += chunk.rows;
+    error_count += chunk.errors.size();
+  }
+  result.stats.rows_reserved = result.dataset.size();
+  result.dataset.truncate(rows);
+
+  result.errors.reserve(error_count);
+  for (ChunkRows& chunk : plan.chunks) {
+    for (IngestError& error : chunk.errors) {
+      // Chunk-local (1-based) -> global line number.
+      result.errors.push_back({first_line + lines + error.line - 1, std::move(error.message)});
+    }
+    lines += chunk.lines;
+  }
+  result.dataset.sort_by_time(threads);
+  result.stats.records = result.dataset.size();
+  result.stats.errors = result.errors.size();
+  result.stats.lines = lines;
+  result.stats.chunks = plan.chunks.size();
 }
 
 namespace {

@@ -14,23 +14,27 @@
 //    are a function of the byte count alone, never of the thread count, so
 //    parallel parses are deterministic under any scheduling.
 //
-//  * ingest_lines — the chunked parallel line-parse driver. Each chunk
-//    parses its lines with std::from_chars over string_view slices into a
-//    private ColumnShard (SampleColumns-shaped: one vector per Dataset
-//    column) plus a local error list; shards are concatenated IN CHUNK ORDER
-//    through Dataset::append_columns, and error line numbers are
-//    offset-corrected by a prefix sum of per-chunk line counts. Because
-//    lines are atomic and concatenation preserves file order, the resulting
-//    Dataset and error list are byte-identical for every thread count (and
-//    in fact for every chunking policy).
+//  * ingest_chunks — the parallel text-parse driver, three passes over that
+//    chunk grid on the pool. (1) Count each chunk's lines, a 64-bit word of
+//    bytes at a time. (2) Size the dataset's columns once, unzeroed, and give
+//    every chunk its own row range: one row per line, capped by how many
+//    records of the format's shortest line the chunk's bytes could hold.
+//    Each chunk parses straight into its range. (3) Only when blank or
+//    rejected lines left holes at the ends of ranges, move the ranges down
+//    in chunk order and trim the columns. Rows land in file order, error
+//    line numbers are offset by a prefix sum of per-chunk line counts, and
+//    Dataset::sort_by_time settles the order, so the Dataset and error list
+//    are byte-identical for every thread count (and every chunking policy).
 //
-// csv.cpp and jsonl.cpp supply the per-line parsers; binlog.cpp has its own
-// frame-parallel zero-copy path (see binlog.h). See DESIGN.md
-// "Ingest & file I/O" for the determinism argument and mmap lifetime rules.
+// csv.cpp and jsonl.cpp supply the chunk parsers; binlog.cpp has its own
+// frame-parallel path onto the same kind of row ranges (see binlog.h). See
+// DESIGN.md "Ingest & file I/O" for the determinism argument and mmap
+// lifetime rules.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <iosfwd>
 #include <span>
 #include <string>
@@ -69,6 +73,12 @@ struct IngestStats {
   std::size_t errors = 0;   ///< Lines / frames rejected.
   double seconds = 0.0;     ///< Wall-clock parse time.
   bool mapped = false;      ///< True when the input was mmap-backed.
+  std::size_t lines = 0;    ///< Text lines counted (text formats only).
+  std::size_t chunks = 0;   ///< Parse chunks of the fixed grid (text formats only).
+  /// Rows the columns were sized for before compaction (text formats only):
+  /// at most one per line, and never more than the bytes could hold as
+  /// records of the format's shortest line.
+  std::size_t rows_reserved = 0;
 };
 
 /// Read-only view over a whole input: mmap for regular files, an owned
@@ -136,43 +146,66 @@ enum class LineParse {
   kError,   ///< Malformed; error message filled.
 };
 
-namespace detail {
-
-/// Per-chunk parse output: the six Dataset columns plus chunk-local errors.
-struct ColumnShard {
-  std::vector<std::int64_t> time_ms;
-  std::vector<double> latency_ms;
-  std::vector<std::uint64_t> user_id;
-  std::vector<ActionType> action;
-  std::vector<UserClass> user_class;
-  std::vector<ActionStatus> status;
-  std::vector<IngestError> errors;  ///< Line numbers local to the chunk (1-based).
-  std::size_t lines = 0;            ///< Total lines the chunk contained.
-
-  void push(const ActionRecord& r) {
-    time_ms.push_back(r.time_ms);
-    latency_ms.push_back(r.latency_ms);
-    user_id.push_back(r.user_id);
-    action.push_back(r.action);
-    user_class.push_back(r.user_class);
-    status.push_back(r.status);
-  }
-  void reserve(std::size_t n) {
-    time_ms.reserve(n);
-    latency_ms.reserve(n);
-    user_id.reserve(n);
-    action.reserve(n);
-    user_class.reserve(n);
-    status.reserve(n);
-  }
-  std::size_t size() const noexcept { return time_ms.size(); }
+/// Result of a chunked line ingest (before any format-specific wrapping).
+struct IngestResult {
+  Dataset dataset;
+  std::vector<IngestError> errors;
+  IngestStats stats;
 };
 
-/// Concatenate shards in chunk order into `dataset` (bulk column appends)
-/// and offset-correct each shard's error line numbers into `errors`.
-/// `first_line` is the global 1-based line number of the first chunked line.
-void concat_shards(std::vector<ColumnShard>& shards, std::size_t first_line,
-                   Dataset& dataset, std::vector<IngestError>& errors);
+namespace detail {
+
+/// Where one chunk parser writes: the first row of its range in each of
+/// the six columns, and how many rows the range holds. Parsers copy the
+/// pointers into locals for their hot loop, so the stores of a row never
+/// make the compiler reload them.
+struct RowRange {
+  std::int64_t* times = nullptr;
+  double* latencies = nullptr;
+  std::uint64_t* user_ids = nullptr;
+  ActionType* actions = nullptr;
+  UserClass* user_classes = nullptr;
+  ActionStatus* statuses = nullptr;
+  std::size_t capacity = 0;
+};
+
+/// Throws std::logic_error: a chunk parser met more records than its
+/// range holds, which the sizing rules out unless a record line can be
+/// shorter than the format's declared minimum. Parsers check before every
+/// write, so such a bug throws instead of writing past the range.
+[[noreturn]] void throw_range_full();
+
+/// Rows [first, first + capacity) of `columns`.
+RowRange row_range(const MutableRowColumns& columns, std::size_t first,
+                   std::size_t capacity) noexcept;
+
+/// The (up to) eight bytes at `p`, byte 0 in the low bits (the project
+/// builds for little-endian hosts only; binlog.cpp asserts it). A tail
+/// shorter than eight bytes before `end` is copied into a zeroed word, so no
+/// read goes past `end`; the zero padding matches no delimiter this engine
+/// scans for.
+inline std::uint64_t load_word(const char* p, const char* end) noexcept {
+  std::uint64_t word = 0;
+  if (end - p >= 8) {
+    std::memcpy(&word, p, 8);
+  } else {
+    std::memcpy(&word, p, static_cast<std::size_t>(end - p));
+  }
+  return word;
+}
+
+/// 0x80 in every byte of `word` that equals `byte`, 0 in every other one —
+/// exact, no false positives from borrows (SWAR: a 64-bit word used as a
+/// vector of eight bytes).
+inline std::uint64_t byte_mask(std::uint64_t word, char byte) noexcept {
+  constexpr std::uint64_t kLow7 = 0x7f7f7f7f7f7f7f7full;
+  const std::uint64_t x = word ^ (0x0101010101010101ull * static_cast<std::uint8_t>(byte));
+  return ~(((x & kLow7) + kLow7) | x | kLow7);
+}
+
+/// Lines in a newline-aligned chunk: its '\n' bytes, plus one for a final
+/// line without a terminator. Counts a word at a time.
+std::size_t count_lines(std::string_view chunk) noexcept;
 
 /// Clinger fast-path double parse: when the value has few enough significant
 /// digits that both the mantissa and the power of ten are exactly
@@ -181,81 +214,69 @@ void concat_shards(std::vector<ColumnShard>& shards, std::size_t first_line,
 /// everything else (long mantissas, large exponents, inf/nan, hex).
 bool parse_double(std::string_view text, double& out) noexcept;
 
-}  // namespace detail
-
-/// Result of a chunked line ingest (before any format-specific wrapping).
-struct IngestResult {
-  Dataset dataset;
-  std::vector<IngestError> errors;
-  IngestStats stats;
+/// What the three passes of ingest_chunks know about one chunk.
+struct ChunkRows {
+  std::size_t lines = 0;             ///< Lines the chunk holds (pass 1).
+  std::size_t first_row = 0;         ///< First row of its range (pass 2).
+  std::size_t capacity = 0;          ///< Rows its range holds (pass 2).
+  std::size_t rows = 0;              ///< Rows its parser wrote (pass 2).
+  std::vector<IngestError> errors;   ///< Chunk-local line numbers (1-based).
 };
 
+/// The row ranges of one ingest: one entry per chunk, and the columns the
+/// ranges index.
+struct ChunkPlan {
+  std::vector<ChunkRows> chunks;
+  MutableRowColumns columns;
+};
+
+/// Pass 1 and the sizing of pass 2: count every chunk's lines on the pool,
+/// give each chunk min(lines, (bytes + 1) / (min_record_bytes + 1)) rows,
+/// and size `dataset` for all of them, unzeroed and flagged unsorted.
+ChunkPlan plan_chunk_rows(std::string_view text, std::span<const std::size_t> bounds,
+                          std::size_t min_record_bytes, std::size_t threads,
+                          Dataset& dataset);
+
+/// Pass 3 and the rest: close the holes that blank and rejected lines left
+/// (moving the ranges down in chunk order, then trimming the columns),
+/// gather the errors with global line numbers from `first_line`, sort the
+/// dataset by time and fill the stats.
+void finish_chunk_rows(ChunkPlan& plan, std::size_t first_line, std::size_t threads,
+                       IngestResult& result);
+
+}  // namespace detail
+
 /// The chunked parallel parse driver. `parse_chunk` is invoked as
-///   void parse_chunk(std::string_view chunk, detail::ColumnShard& shard)
-/// for every newline-aligned chunk of `text` and must append records/errors
-/// to the shard (error line numbers 1-based within the chunk) and count
-/// every line the chunk contained in shard.lines. Chunk parsers fuse the
-/// newline scan into their field scan — one pass over the bytes instead of
-/// a memchr('\n') pass followed by a field pass. Records land in file
+///   std::size_t parse_chunk(std::string_view chunk, const detail::RowRange& rows,
+///                           std::vector<IngestError>& errors)
+/// for every newline-aligned chunk of `text`. It writes the chunk's records
+/// to rows 0, 1, ... of `rows` in line order and returns how many it wrote;
+/// it appends each rejected line to `errors` with its 1-based line number
+/// within the chunk, and calls detail::throw_range_full() rather than write
+/// past rows.capacity. Every record line of the format must be at least
+/// `min_record_bytes` long (terminator excluded): with one record per line,
+/// that is what bounds a chunk's range. Records land in file
 /// order, then the dataset is time-sorted (stable, so the order is
 /// reproducible); errors carry global line numbers starting at
-/// `first_line`. Output is identical for every threads value.
+/// `first_line`. The stats count records, errors, lines, chunks and
+/// reserved rows; the caller fills in bytes and timing. Output is
+/// identical for every threads value.
 template <typename ChunkParser>
 IngestResult ingest_chunks(std::string_view text, std::size_t first_line,
-                           const IngestOptions& options, const ChunkParser& parse_chunk) {
+                           std::size_t min_record_bytes, const IngestOptions& options,
+                           const ChunkParser& parse_chunk) {
   IngestResult result;
   const auto bounds = newline_chunk_bounds(text, options.chunk_bytes);
-  const std::size_t chunks = bounds.size() - 1;
-  std::vector<detail::ColumnShard> shards(chunks);
-  core::parallel_for_items(chunks, options.threads, [&](std::size_t c) {
-    parse_chunk(text.substr(bounds[c], bounds[c + 1] - bounds[c]), shards[c]);
+  detail::ChunkPlan plan = detail::plan_chunk_rows(text, bounds, min_record_bytes,
+                                                   options.threads, result.dataset);
+  core::parallel_for_items(plan.chunks.size(), options.threads, [&](std::size_t c) {
+    detail::ChunkRows& chunk = plan.chunks[c];
+    chunk.rows = parse_chunk(text.substr(bounds[c], bounds[c + 1] - bounds[c]),
+                             detail::row_range(plan.columns, chunk.first_row, chunk.capacity),
+                             chunk.errors);
   });
-  detail::concat_shards(shards, first_line, result.dataset, result.errors);
-  result.dataset.sort_by_time(options.threads);
-  result.stats.bytes = text.size();
-  result.stats.records = result.dataset.size();
-  result.stats.errors = result.errors.size();
+  detail::finish_chunk_rows(plan, first_line, options.threads, result);
   return result;
-}
-
-/// Line-at-a-time wrapper over ingest_chunks. `parse_line` is invoked as
-///   LineParse parse_line(std::string_view line, ActionRecord& record,
-///                        std::string& error)
-/// for every '\n'-delimited line of `text` (terminator excluded; a missing
-/// trailing newline still yields the final line). csv.cpp and jsonl.cpp use
-/// fused chunk parsers instead; this wrapper remains for formats without
-/// one and as the reference the parity tests compare them against.
-template <typename LineParser>
-IngestResult ingest_lines(std::string_view text, std::size_t first_line,
-                          const IngestOptions& options, const LineParser& parse_line) {
-  return ingest_chunks(
-      text, first_line, options,
-      [&parse_line](std::string_view chunk, detail::ColumnShard& shard) {
-        // Rough reservation: the schema averages well above 16 bytes per line.
-        shard.time_ms.reserve(chunk.size() / 24 + 1);
-        std::string_view rest = chunk;
-        ActionRecord record;
-        std::string error;
-        while (!rest.empty()) {
-          const std::size_t newline = rest.find('\n');
-          const std::string_view line =
-              newline == std::string_view::npos ? rest : rest.substr(0, newline);
-          rest = newline == std::string_view::npos ? std::string_view{}
-                                                   : rest.substr(newline + 1);
-          ++shard.lines;
-          switch (parse_line(line, record, error)) {
-            case LineParse::kRecord:
-              shard.push(record);
-              break;
-            case LineParse::kSkip:
-              break;
-            case LineParse::kError:
-              shard.errors.push_back({shard.lines, std::move(error)});
-              error.clear();
-              break;
-          }
-        }
-      });
 }
 
 }  // namespace autosens::telemetry

@@ -251,32 +251,60 @@ bool parse_jsonl_fast(const char*& p, const char* const end, ActionRecord& recor
   return true;
 }
 
+/// The shortest line parse_jsonl_record accepts: every key once, one-digit
+/// numbers and the shortest name of each enum, no whitespace. It bounds
+/// how many records a chunk can hold.
+constexpr std::size_t kMinRecordBytes =
+    std::string_view(
+        R"({"time_ms":0,"user_id":0,"action":"Other","latency_ms":0,)"
+        R"("user_class":"Business","status":"Error"})")
+        .size();
+
 /// Fused chunk parser: parse_jsonl_record leaves the cursor past each
 /// line's terminator, so there is no separate memchr('\n') sweep per line.
-void parse_jsonl_chunk(std::string_view chunk, detail::ColumnShard& shard) {
-  shard.reserve(chunk.size() / 110 + 1);
+/// The row cursor and column pointers live in locals: the stores of a row
+/// then never make the compiler reload them.
+std::size_t parse_jsonl_chunk(std::string_view chunk, const detail::RowRange& rows,
+                              std::vector<IngestError>& errors) {
+  std::int64_t* const times = rows.times;
+  double* const latencies = rows.latencies;
+  std::uint64_t* const user_ids = rows.user_ids;
+  ActionType* const actions = rows.actions;
+  UserClass* const user_classes = rows.user_classes;
+  ActionStatus* const statuses = rows.statuses;
+  const std::size_t capacity = rows.capacity;
+  std::size_t n = 0;
+
   const char* p = chunk.data();
   const char* const end = p + chunk.size();
   ActionRecord record;
   std::string error;
+  std::size_t line = 0;
   while (p != end) {
-    ++shard.lines;
-    if (parse_jsonl_fast(p, end, record)) {
-      shard.push(record);
-      continue;
-    }
-    switch (parse_jsonl_record(p, end, record, error)) {
+    ++line;
+    const LineParse parsed = parse_jsonl_fast(p, end, record)
+                                 ? LineParse::kRecord
+                                 : parse_jsonl_record(p, end, record, error);
+    switch (parsed) {
       case LineParse::kRecord:
-        shard.push(record);
+        if (n == capacity) detail::throw_range_full();
+        times[n] = record.time_ms;
+        latencies[n] = record.latency_ms;
+        user_ids[n] = record.user_id;
+        actions[n] = record.action;
+        user_classes[n] = record.user_class;
+        statuses[n] = record.status;
+        ++n;
         break;
       case LineParse::kSkip:
         break;
       case LineParse::kError:
-        shard.errors.push_back({shard.lines, std::move(error)});
+        errors.push_back({line, std::move(error)});
         error.clear();
         break;
     }
   }
+  return n;
 }
 
 }  // namespace
@@ -291,13 +319,22 @@ LineParse parse_jsonl_line(std::string_view line, ActionRecord& record, std::str
 }  // namespace detail
 
 void write_jsonl(std::ostream& out, const Dataset& dataset) {
-  for (std::size_t i = 0; i < dataset.size(); ++i) {
+  detail::write_text_rows(out, dataset.size(), [&dataset](char* p, std::size_t i) {
     const ActionRecord r = dataset[i];
-    out << "{\"time_ms\":" << r.time_ms << ",\"user_id\":" << r.user_id << ",\"action\":\""
-        << to_string(r.action) << "\",\"latency_ms\":" << r.latency_ms
-        << ",\"user_class\":\"" << to_string(r.user_class) << "\",\"status\":\""
-        << to_string(r.status) << "\"}\n";
-  }
+    p = detail::put_text(p, "{\"time_ms\":");
+    p = detail::put_integer(p, r.time_ms);
+    p = detail::put_text(p, ",\"user_id\":");
+    p = detail::put_integer(p, r.user_id);
+    p = detail::put_text(p, ",\"action\":\"");
+    p = detail::put_text(p, to_string(r.action));
+    p = detail::put_text(p, "\",\"latency_ms\":");
+    p = detail::put_latency(p, r.latency_ms);
+    p = detail::put_text(p, ",\"user_class\":\"");
+    p = detail::put_text(p, to_string(r.user_class));
+    p = detail::put_text(p, "\",\"status\":\"");
+    p = detail::put_text(p, to_string(r.status));
+    return detail::put_text(p, "\"}\n");
+  });
 }
 
 void write_jsonl_file(const std::string& path, const Dataset& dataset) {
@@ -308,9 +345,10 @@ void write_jsonl_file(const std::string& path, const Dataset& dataset) {
 }
 
 JsonlReadResult read_jsonl_buffer(std::string_view text, const IngestOptions& options) {
-  auto ingested = ingest_chunks(strip_utf8_bom(text), /*first_line=*/1, options,
-                                parse_jsonl_chunk);
-  return JsonlReadResult{std::move(ingested.dataset), std::move(ingested.errors)};
+  auto result = ingest_chunks(strip_utf8_bom(text), /*first_line=*/1, kMinRecordBytes, options,
+                              parse_jsonl_chunk);
+  result.stats.bytes = text.size();
+  return result;
 }
 
 JsonlReadResult read_jsonl(std::istream& in, const IngestOptions& options) {
@@ -324,16 +362,15 @@ JsonlReadResult read_jsonl_file(const std::string& path, const IngestOptions& op
   const MappedFile input = MappedFile::map(path);
   const auto start = std::chrono::steady_clock::now();
   auto result = read_jsonl_buffer(input.text(), options);
-  IngestStats stats{.bytes = input.size(),
-                    .records = result.dataset.size(),
-                    .errors = result.errors.size(),
-                    .seconds = std::chrono::duration<double>(
-                                   std::chrono::steady_clock::now() - start)
-                                   .count(),
-                    .mapped = input.is_mapped()};
+  IngestStats& stats = result.stats;
+  stats.seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  stats.mapped = input.is_mapped();
   note_ingest("jsonl", stats);
   span.attr("records", static_cast<std::int64_t>(stats.records));
   span.attr("bytes", static_cast<std::int64_t>(stats.bytes));
+  span.attr("lines", static_cast<std::int64_t>(stats.lines));
+  span.attr("chunks", static_cast<std::int64_t>(stats.chunks));
   return result;
 }
 

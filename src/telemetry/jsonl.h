@@ -26,10 +26,9 @@
 
 namespace autosens::telemetry {
 
-struct JsonlReadResult {
-  Dataset dataset;
-  std::vector<CsvError> errors;
-};
+/// Result of a JSON-lines read: accepted records, per-line errors and the
+/// ingest's stats.
+using JsonlReadResult = IngestResult;
 
 void write_jsonl(std::ostream& out, const Dataset& dataset);
 void write_jsonl_file(const std::string& path, const Dataset& dataset);

@@ -6,6 +6,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "stats/rng.h"
@@ -307,6 +308,34 @@ TEST(BinlogTest, RejectsOverflowingV2RecordCount) {
   bytes += frame_bytes(payload2);
   std::istringstream in(bytes);
   EXPECT_THROW(read_binlog(in), std::runtime_error);
+}
+
+TEST(BinlogTest, V1HostileCountsThrowTheDecodeErrors) {
+  // An ASL1 frame's count sizes its row range, clamped by the payload's
+  // bytes: a valid frame, then one claiming 2^60 records in four bytes, must
+  // throw decode_batch's truncation error, not bad_alloc; a frame whose
+  // count varint is cut short throws decode_batch's truncated count.
+  Dataset one;
+  one.add({.time_ms = 5, .user_id = 1, .latency_ms = 2.5});
+  std::stringstream valid;
+  write_binlog_v1(valid, one);
+  std::vector<std::uint8_t> huge;
+  codec::put_varint(huge, std::uint64_t{1} << 60);
+  huge.insert(huge.end(), {2, 2, 2, 0});
+  const std::vector<std::uint8_t> cut = {0x80};
+  const std::pair<std::vector<std::uint8_t>, const char*> cases[] = {
+      {huge, "decode_batch: truncated record"}, {cut, "decode_batch: truncated count"}};
+  for (const auto& [payload, message] : cases) {
+    for (const std::size_t threads : {1u, 4u}) {
+      std::istringstream in(valid.str() + frame_bytes(payload));
+      try {
+        (void)read_binlog(in, {.threads = threads});
+        ADD_FAILURE() << "expected " << message;
+      } catch (const std::runtime_error& error) {
+        EXPECT_STREQ(error.what(), message) << "threads " << threads;
+      }
+    }
+  }
 }
 
 TEST(BinlogTest, V2EmptyFramesProduceEmptyDataset) {

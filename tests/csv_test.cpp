@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
+#include <limits>
 #include <sstream>
 
 namespace autosens::telemetry {
@@ -121,6 +124,62 @@ TEST(CsvTest, FileRoundtrip) {
   EXPECT_TRUE(result.errors.empty());
   ASSERT_EQ(result.dataset.size(), original.size());
   EXPECT_EQ(result.dataset[0], original[0]);
+}
+
+/// Rows whose latencies probe every branch of "%g" formatting: zero, tiny,
+/// fractional, rounding at six digits, the switch to exponent form, huge,
+/// negative, the smallest denormal, infinities and NaN — and the extreme
+/// integers. Enough of them to flush the writer's buffer several times.
+Dataset edge_dataset() {
+  const double latencies[] = {0.0,
+                              1e-7,
+                              0.1,
+                              123456.5,
+                              1234567.0,
+                              1e21,
+                              -42.125,
+                              -0.0,
+                              std::numeric_limits<double>::denorm_min(),
+                              std::numeric_limits<double>::max(),
+                              std::numeric_limits<double>::infinity(),
+                              -std::numeric_limits<double>::infinity(),
+                              std::numeric_limits<double>::quiet_NaN(),
+                              -std::numeric_limits<double>::quiet_NaN(),
+                              999999.5,
+                              0.000123456789};
+  Dataset d;
+  d.add({.time_ms = std::numeric_limits<std::int64_t>::min(),
+         .user_id = std::numeric_limits<std::uint64_t>::max(),
+         .latency_ms = 1.0});
+  d.add({.time_ms = std::numeric_limits<std::int64_t>::max(), .user_id = 0, .latency_ms = 2.0});
+  for (std::int64_t i = 0; i < 40'000; ++i) {
+    d.add({.time_ms = i * 7919 - 1'000'000,
+           .user_id = static_cast<std::uint64_t>(i) * 104729,
+           .latency_ms = latencies[i % std::size(latencies)] * (i < 16 ? 1.0 : 1.0 + i * 1e-5),
+           .action = static_cast<ActionType>(i % kActionTypeCount),
+           .user_class = static_cast<UserClass>(i % kUserClassCount),
+           .status = i % 3 == 0 ? ActionStatus::kError : ActionStatus::kSuccess});
+  }
+  return d;
+}
+
+TEST(CsvTest, WriterMatchesStreamFormattingByteForByte) {
+  const Dataset dataset = edge_dataset();
+  std::ostringstream expected;
+  expected << kCsvHeader << '\n';
+  for (std::size_t i = 0; i < dataset.size(); ++i) {
+    const ActionRecord r = dataset[i];
+    expected << r.time_ms << ',' << r.user_id << ',' << to_string(r.action) << ','
+             << r.latency_ms << ',' << to_string(r.user_class) << ',' << to_string(r.status)
+             << '\n';
+  }
+  std::ostringstream written;
+  write_csv(written, dataset);
+  ASSERT_EQ(written.str().size(), expected.str().size());
+  EXPECT_TRUE(written.str() == expected.str());
+  EXPECT_NE(written.str().find(",1e-07,"), std::string::npos);
+  EXPECT_NE(written.str().find(",4.94066e-324,"), std::string::npos);
+  EXPECT_NE(written.str().find(",-inf,"), std::string::npos);
 }
 
 TEST(CsvTest, MissingFileThrows) {

@@ -8,6 +8,7 @@
 
 #include <sys/stat.h>
 
+#include <bit>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -30,6 +31,21 @@ void expect_same_dataset(const Dataset& a, const Dataset& b) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     ASSERT_EQ(a[i], b[i]) << "record " << i << " differs";
+  }
+}
+
+/// expect_same_dataset with latencies compared by their bits, so rows with
+/// a NaN latency compare too.
+void expect_same_bits(const Dataset& a, const Dataset& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ActionRecord x = a[i];
+    ActionRecord y = b[i];
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(x.latency_ms),
+              std::bit_cast<std::uint64_t>(y.latency_ms))
+        << "record " << i << " latency differs";
+    x.latency_ms = y.latency_ms = 0.0;
+    ASSERT_EQ(x, y) << "record " << i << " differs";
   }
 }
 
@@ -69,6 +85,62 @@ std::string random_csv(std::size_t lines, std::uint64_t seed, bool trailing_newl
     if (i + 1 < lines || trailing_newline) {
       text += random.bernoulli(0.3) ? "\r\n" : "\n";
     }
+  }
+  return text;
+}
+
+/// Lines that must leave the CSV fast path, each with a `#` where a time
+/// goes: padding, signs, long integers, empty fields, wrong field counts,
+/// exotic latencies, a lone CR and CRLF. Drawn at random between
+/// writer-shaped lines, so the fast path resumes after every detour.
+std::string deviant_csv(std::size_t lines, std::uint64_t seed, bool trailing_newline) {
+  static const std::string kShapes[] = {
+      " # ,\t7\t, SelectMail ,10.5 ,\tBusiness, Success ",  // spaces and tabs around fields
+      "+#,7,SelectMail,10.5,Business,Success",
+      "#,+7,SelectMail,10.5,Business,Success",
+      "1234567890123456789,7,Search,10.5,Business,Success",  // 19 digits, fits int64
+      "9234567890123456789,7,Search,10.5,Business,Success",  // 19 digits, overflows
+      "#,12345678901234567890,Search,10.5,Consumer,Error",   // 20 digits, fits uint64
+      "#,1234567890123456789,Search,10.5,Consumer,Error",
+      "-#,7,SelectMail,10.5,Business,Success",  // a negative time
+      "-,7,SelectMail,10.5,Business,Success",
+      ",7,SelectMail,10.5,Business,Success",
+      "#,,SelectMail,10.5,Business,Success",
+      "#,7,,10.5,Business,Success",
+      "#,7,SelectMail,,Business,Success",
+      "#,7,SelectMail,10.5,,Success",
+      "#,7,SelectMail,10.5,Business,",
+      "#,7,SelectMail,10.5,Business",                // 5 fields
+      "#,7,SelectMail,10.5,Business,Success,extra",  // 7 fields
+      "#,7,SelectMail,10.5,Business,Success,",       // 7 fields, the last empty
+      "#,7,Search,1e2,Business,Success",
+      "#,7,Search,1.5E+02,Consumer,Success",
+      "#,7,Search,.5,Consumer,Success",
+      "#,7,Search,123.4567890123456789,Consumer,Success",  // 19 significant digits
+      "#,7,Search,1234567890123456.5,Consumer,Success",
+      "#,7,Search,inf,Consumer,Success",
+      "#,7,Search,nan,Consumer,Error",
+      "#,7,Search,-inf,Consumer,Error",
+      "\r",                                  // a lone CR: a blank line
+      "#,7,Search,5,Consumer,Success\r",      // CRLF
+      "#,7,Search,5,Consumer,Success \t",
+  };
+  stats::Random random(seed);
+  std::string text = std::string(kCsvHeader) + "\n";
+  std::int64_t t = 1'000'000;
+  for (std::size_t i = 0; i < lines; ++i) {
+    t += static_cast<std::int64_t>(random.uniform_index(5000));
+    if (random.bernoulli(0.5)) {
+      text += std::to_string(t) + "," + std::to_string(random.uniform_index(100)) +
+              ",SwitchFolder," + std::to_string(random.uniform_index(900)) + ".75,Business,Error";
+    } else {
+      std::string line = kShapes[random.uniform_index(std::size(kShapes))];
+      if (const auto at = line.find('#'); at != std::string::npos) {
+        line.replace(at, 1, std::to_string(t));
+      }
+      text += line;
+    }
+    if (i + 1 < lines || trailing_newline) text += '\n';
   }
   return text;
 }
@@ -137,6 +209,28 @@ TEST(IngestParityTest, JsonlChunkedMatchesScalarAcrossThreads) {
   }
 }
 
+TEST(IngestParityTest, CsvFastPathDeviationsMatchScalar) {
+  for (const std::uint64_t seed : {31u, 32u}) {
+    for (const bool trailing : {true, false}) {
+      const std::string text = deviant_csv(400, seed, trailing);
+      std::istringstream in(text);
+      const auto reference = read_csv_scalar(in);
+      ASSERT_FALSE(reference.errors.empty());
+      for (const std::size_t threads : {1u, 2u, 8u}) {
+        for (const std::size_t chunk_bytes : {1u, 7u, 64u, 1u << 20}) {
+          SCOPED_TRACE(testing::Message() << "seed " << seed << " trailing " << trailing
+                                          << " threads " << threads << " chunk_bytes "
+                                          << chunk_bytes);
+          const auto chunked =
+              read_csv_buffer(text, {.threads = threads, .chunk_bytes = chunk_bytes});
+          expect_same_bits(reference.dataset, chunked.dataset);
+          expect_same_errors(reference.errors, chunked.errors);
+        }
+      }
+    }
+  }
+}
+
 TEST(IngestParityTest, ErrorLinesMatchAcrossChunkBoundaries) {
   // A malformed row pinned mid-file: the chunked path must report the same
   // global line number no matter how many chunks precede it.
@@ -150,6 +244,122 @@ TEST(IngestParityTest, ErrorLinesMatchAcrossChunkBoundaries) {
     EXPECT_EQ(result.errors[0].line, 52u);
     EXPECT_EQ(result.errors[0].message, "expected 6 fields, got 1");
     EXPECT_EQ(result.dataset.size(), 100u);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Row ranges: one per chunk, sized by its line count and byte count, closed
+// up when blank or rejected lines leave holes.
+
+TEST(IngestRowRangeTest, HolesInMiddleChunksCloseUp) {
+  // 600 rows in time order; lines 200-399 alternate records with blank and
+  // rejected lines, so the middle chunks end short of their ranges.
+  std::string text = std::string(kCsvHeader) + "\n";
+  std::vector<std::int64_t> times;
+  std::vector<std::size_t> error_lines;
+  for (std::size_t i = 0; i < 600; ++i) {
+    const std::size_t line = i + 2;
+    if (i >= 200 && i < 400 && i % 3 == 1) {
+      text += "\n";
+    } else if (i >= 200 && i < 400 && i % 3 == 2) {
+      text += "garbage\n";
+      error_lines.push_back(line);
+    } else {
+      times.push_back(static_cast<std::int64_t>(1000 + i));
+      text += std::to_string(times.back()) + ",3,Search," + std::to_string(i) +
+              ".5,Consumer,Success\n";
+    }
+  }
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    for (const std::size_t chunk_bytes : {64u, 512u, 4096u}) {
+      SCOPED_TRACE(testing::Message() << "threads " << threads << " chunk_bytes "
+                                      << chunk_bytes);
+      const auto result = read_csv_buffer(text, {.threads = threads, .chunk_bytes = chunk_bytes});
+      ASSERT_EQ(result.dataset.size(), times.size());
+      EXPECT_GT(result.stats.chunks, 2u);
+      EXPECT_GT(result.stats.rows_reserved, result.dataset.size());  // there were holes
+      EXPECT_EQ(result.stats.lines, 601u);
+      EXPECT_TRUE(result.dataset.is_sorted());
+      for (std::size_t r = 0; r < times.size(); ++r) {
+        ASSERT_EQ(result.dataset[r].time_ms, times[r]) << "row " << r;
+        ASSERT_EQ(result.dataset[r].latency_ms, static_cast<double>(times[r] - 1000) + 0.5);
+      }
+      ASSERT_EQ(result.errors.size(), error_lines.size());
+      for (std::size_t e = 0; e < error_lines.size(); ++e) {
+        EXPECT_EQ(result.errors[e].line, error_lines[e]);
+        EXPECT_EQ(result.errors[e].message, "expected 6 fields, got 1");
+      }
+    }
+  }
+}
+
+TEST(IngestRowRangeTest, BlankLinesReserveNoMoreRowsThanTheBytesHold) {
+  // A million newlines are a million lines, but no record fits one byte:
+  // a chunk's range is capped by its bytes over the shortest record line.
+  const std::size_t newlines = 1'000'000;
+  const std::size_t shortest_csv = std::string_view("0,0,Other,0,Business,Error").size();
+  const auto csv = read_csv_buffer(std::string(kCsvHeader) + "\n" + std::string(newlines, '\n'),
+                                   {.threads = 2});
+  EXPECT_TRUE(csv.dataset.empty());
+  EXPECT_TRUE(csv.errors.empty());
+  EXPECT_EQ(csv.stats.lines, newlines + 1);
+  EXPECT_LE(csv.stats.rows_reserved, (newlines + csv.stats.chunks) / (shortest_csv + 1));
+
+  const std::size_t shortest_jsonl =
+      std::string_view(R"({"time_ms":0,"user_id":0,"action":"Other","latency_ms":0,)"
+                       R"("user_class":"Business","status":"Error"})")
+          .size();
+  const auto jsonl = read_jsonl_buffer(std::string(newlines, '\n'), {.threads = 2});
+  EXPECT_TRUE(jsonl.dataset.empty());
+  EXPECT_EQ(jsonl.stats.lines, newlines);
+  EXPECT_LE(jsonl.stats.rows_reserved, (newlines + jsonl.stats.chunks) / (shortest_jsonl + 1));
+}
+
+TEST(IngestRowRangeTest, ShortestRecordLinesFillTheirRangesExactly) {
+  // Every line as short as a record can be: each range is full to the last
+  // row, with and without a final newline, at every chunk size.
+  const std::string csv_line = "0,0,Other,0,Business,Error";
+  const std::string jsonl_line =
+      R"({"time_ms":0,"user_id":0,"action":"Other","latency_ms":0,)"
+      R"("user_class":"Business","status":"Error"})";
+  for (const bool trailing : {true, false}) {
+    std::string csv = std::string(kCsvHeader) + "\n";
+    std::string jsonl;
+    for (std::size_t i = 0; i < 500; ++i) {
+      const bool last = i + 1 == 500;
+      csv += csv_line + (last && !trailing ? "" : "\n");
+      jsonl += jsonl_line + (last && !trailing ? "" : "\n");
+    }
+    for (const std::size_t chunk_bytes : {1u, 7u, 64u, 1u << 20}) {
+      SCOPED_TRACE(testing::Message() << "trailing " << trailing << " chunk_bytes "
+                                      << chunk_bytes);
+      const auto from_csv = read_csv_buffer(csv, {.threads = 4, .chunk_bytes = chunk_bytes});
+      EXPECT_TRUE(from_csv.errors.empty());
+      EXPECT_EQ(from_csv.dataset.size(), 500u);
+      EXPECT_EQ(from_csv.stats.rows_reserved, 500u);
+      const auto from_jsonl =
+          read_jsonl_buffer(jsonl, {.threads = 4, .chunk_bytes = chunk_bytes});
+      EXPECT_TRUE(from_jsonl.errors.empty());
+      EXPECT_EQ(from_jsonl.dataset.size(), 500u);
+      EXPECT_EQ(from_jsonl.stats.rows_reserved, 500u);
+    }
+  }
+}
+
+TEST(IngestRowRangeTest, CountLinesCountsEveryNewlineAndAnUnterminatedTail) {
+  stats::Random random(51);
+  std::string text;
+  for (std::size_t i = 0; i < 3000; ++i) {
+    text += random.bernoulli(0.3) ? '\n' : static_cast<char>('\x01' + random.uniform_index(250));
+  }
+  for (std::size_t begin = 0; begin < 40; ++begin) {
+    for (const std::size_t size : {0u, 1u, 7u, 8u, 9u, 31u, 32u, 33u, 2000u}) {
+      const std::string_view chunk = std::string_view(text).substr(begin, size);
+      std::size_t want = 0;
+      for (const char c : chunk) want += c == '\n';
+      if (!chunk.empty() && chunk.back() != '\n') ++want;
+      EXPECT_EQ(detail::count_lines(chunk), want) << "begin " << begin << " size " << size;
+    }
   }
 }
 

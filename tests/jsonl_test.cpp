@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
+#include <limits>
 #include <sstream>
 
 namespace autosens::telemetry {
@@ -122,6 +125,47 @@ TEST(JsonlTest, FileRoundtrip) {
   ASSERT_EQ(result.dataset.size(), original.size());
   EXPECT_EQ(result.dataset[0], original[0]);
   EXPECT_THROW(read_jsonl_file("/nonexistent/file.jsonl"), std::runtime_error);
+}
+
+TEST(JsonlTest, WriterMatchesStreamFormattingByteForByte) {
+  // Latencies that probe every branch of "%g" formatting, and the extreme
+  // integers; enough rows to flush the writer's buffer several times.
+  const double latencies[] = {0.0,
+                              1e-7,
+                              0.1,
+                              123456.5,
+                              1234567.0,
+                              1e21,
+                              -42.125,
+                              std::numeric_limits<double>::denorm_min(),
+                              std::numeric_limits<double>::infinity(),
+                              -std::numeric_limits<double>::infinity(),
+                              std::numeric_limits<double>::quiet_NaN(),
+                              999999.5};
+  Dataset d;
+  d.add({.time_ms = std::numeric_limits<std::int64_t>::min(),
+         .user_id = std::numeric_limits<std::uint64_t>::max(),
+         .latency_ms = 1.0});
+  for (std::int64_t i = 0; i < 20'000; ++i) {
+    d.add({.time_ms = i * 7919 - 1'000'000,
+           .user_id = static_cast<std::uint64_t>(i) * 104729,
+           .latency_ms = latencies[i % std::size(latencies)] * (i < 12 ? 1.0 : 1.0 + i * 1e-5),
+           .action = static_cast<ActionType>(i % kActionTypeCount),
+           .user_class = static_cast<UserClass>(i % kUserClassCount),
+           .status = i % 3 == 0 ? ActionStatus::kError : ActionStatus::kSuccess});
+  }
+  std::ostringstream expected;
+  for (std::size_t i = 0; i < d.size(); ++i) {
+    const ActionRecord r = d[i];
+    expected << "{\"time_ms\":" << r.time_ms << ",\"user_id\":" << r.user_id
+             << ",\"action\":\"" << to_string(r.action) << "\",\"latency_ms\":" << r.latency_ms
+             << ",\"user_class\":\"" << to_string(r.user_class) << "\",\"status\":\""
+             << to_string(r.status) << "\"}\n";
+  }
+  std::ostringstream written;
+  write_jsonl(written, d);
+  ASSERT_EQ(written.str().size(), expected.str().size());
+  EXPECT_TRUE(written.str() == expected.str());
 }
 
 }  // namespace

@@ -419,6 +419,9 @@ int cmd_analyze(const cli::Args& args) {
   args.allow_only(with_obs({"in", "action", "class", "ref", "bin", "max-latency",
                             "no-normalize", "mc", "confidence", "replicates", "threads",
                             "out"}));
+  // The span is the analysis, from the load to the curve; it ends before the
+  // printing.
+  std::optional<obs::Span> span(std::in_place, "analyze");
   const auto validated = load_scrubbed(args.require("in"), ingest_options_from_flags(args));
   const auto& dataset = validated.dataset;
   const auto slice = apply_slice_flags(dataset, args);
@@ -437,6 +440,7 @@ int cmd_analyze(const cli::Args& args) {
     confidence.replicates = args.get_int<std::size_t>("replicates", 50);
     const auto result = core::analyze_with_confidence(
         slice.columns(), options, {500.0, 750.0, 1000.0, 1500.0, 2000.0}, confidence, random);
+    span.reset();
     report::Table table({"latency (ms)", "NLP", "90% CI"});
     for (std::size_t p = 0; p < result.probe_latency_ms.size(); ++p) {
       const double latency = result.probe_latency_ms[p];
@@ -458,6 +462,7 @@ int cmd_analyze(const cli::Args& args) {
   }
 
   const auto result = core::analyze(slice, options);
+  span.reset();
   print_curve(result);
   if (const auto out = args.get("out")) {
     const std::vector<core::NamedPreference> curves = {{"preference", result, slice.size()}};

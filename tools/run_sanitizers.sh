@@ -17,8 +17,10 @@
 # the dispatched SIMD kernels, the out-of-core store's mmap/varint decoders,
 # the parallel select kernel behind validation and slicing and the ASL2
 # reader, which both fill unzeroed columns on pool threads, the parallel
-# sort's scatter and gather, the ingest
-# engine's chunk parsers, the fused select pass behind store windows, and
+# sort's scatter and gather, the ingest engine's chunk parsers and the
+# word-at-a-time scans that must never read past a chunk's end (the CSV and
+# JSON-lines suites run them on 1- and 7-byte chunks), the fused select
+# pass behind store windows, and
 # the estimator core, whose accumulator merges per-chunk partials filled on
 # pool threads, with the histograms it builds and merges — the code where memory-safety and data-race bugs would
 # actually live. Pass --soak to also run the slow-labelled soak tests
@@ -54,7 +56,7 @@ targets=(wire_test net_pipeline_test fault_test wire_fuzz_test
          obs_log_test obs_server_test simd_kernels_test simd_dispatch_test
          store_test store_prune_test store_soak_test store_summary_test
          dataset_test filter_test validate_test select_test sort_test ingest_test
-         binlog_test
+         binlog_test csv_test jsonl_test
          pipeline_test streaming_test confounder_time_test confounder_dow_test
          unbiased_test slices_test confidence_test estimator_core_test
          estimator_fixture_test histogram_test biased_test)
