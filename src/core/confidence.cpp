@@ -8,6 +8,7 @@
 
 #include "core/parallel.h"
 #include "core/pipeline.h"
+#include "obs/trace.h"
 #include "stats/descriptive.h"
 #include "telemetry/clock.h"
 
@@ -116,8 +117,14 @@ PreferenceWithConfidence analyze_with_confidence(telemetry::SampleColumns column
   const std::uint64_t stream_base = random.engine()();
   const auto days = day_ranges(columns.times);
   std::vector<Replicate> replicate_draws(confidence.replicates);
+  // A pool worker has no open span, so each replicate's span links onto the
+  // caller's: the replicate's own spans then nest under it, not as roots.
+  const std::uint64_t parent_span = obs::current_span_id();
   parallel_for_items(
       confidence.replicates, options.threads, [&](std::size_t r) {
+        obs::Span span("bootstrap_replicate");
+        span.link_parent(parent_span);
+        span.attr("replicate", static_cast<std::int64_t>(r));
         stats::Random substream(stats::substream_seed(stream_base, r));
         auto& slot = replicate_draws[r];
         slot.at_probe.assign(result.probe_latency_ms.size(), std::nullopt);

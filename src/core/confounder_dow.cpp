@@ -5,6 +5,7 @@
 
 #include "core/accumulator.h"
 #include "core/pipeline.h"
+#include "obs/trace.h"
 #include "telemetry/clock.h"
 
 namespace autosens::core {
@@ -37,6 +38,8 @@ std::vector<TimeWindow> day_class_windows(const telemetry::Dataset& dataset, Day
 DayClassActivity day_class_activity(const telemetry::Dataset& dataset,
                                     const AutoSensOptions& options) {
   if (dataset.empty()) throw std::invalid_argument("day_class_activity: empty dataset");
+  obs::Span span("day_class_activity");
+  span.attr("records", static_cast<std::int64_t>(dataset.size()));
   const auto accumulator = Accumulator::fill(dataset.columns(), ClassGrid::kDay, options);
   const auto weekday = static_cast<std::size_t>(DayClass::kWeekday);
   const auto weekend = static_cast<std::size_t>(DayClass::kWeekend);

@@ -80,6 +80,8 @@ std::array<PeriodAlpha, telemetry::kDayPeriodCount> alpha_by_period(
     const telemetry::Dataset& dataset, const AutoSensOptions& options,
     telemetry::DayPeriod reference) {
   if (dataset.empty()) throw std::invalid_argument("alpha_by_period: empty dataset");
+  obs::Span span("alpha_by_period");
+  span.attr("records", static_cast<std::int64_t>(dataset.size()));
   const auto accumulator = Accumulator::fill(dataset.columns(), ClassGrid::kPeriod, options);
   std::array<PeriodAlpha, telemetry::kDayPeriodCount> out;
   for (std::size_t p = 0; p < out.size(); ++p) {

@@ -4,6 +4,7 @@
 #include <array>
 #include <stdexcept>
 
+#include "obs/trace.h"
 #include "stats/correlation.h"
 #include "stats/descriptive.h"
 
@@ -13,6 +14,8 @@ LocalityReport analyze_locality(const telemetry::Dataset& dataset,
                                 const LocalityOptions& options, stats::Random& random) {
   if (dataset.empty()) throw std::invalid_argument("analyze_locality: empty dataset");
   if (options.window_ms <= 0) throw std::invalid_argument("analyze_locality: bad window");
+  obs::Span span("locality_stats");
+  span.attr("records", static_cast<std::int64_t>(dataset.size()));
 
   LocalityReport report;
   report.samples = dataset.size();

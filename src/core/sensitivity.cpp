@@ -3,6 +3,7 @@
 #include "core/biased.h"
 #include "core/confounder_time.h"
 #include "core/unbiased.h"
+#include "obs/trace.h"
 #include "stats/distance.h"
 
 namespace autosens::core {
@@ -56,6 +57,8 @@ SensitivitySummary summarize(const PreferenceResult& preference) {
 
 ScreeningReport screen(const telemetry::Dataset& dataset, const AutoSensOptions& options,
                        double min_distance) {
+  obs::Span span("divergence");
+  span.attr("records", static_cast<std::int64_t>(dataset.size()));
   // Honor the time-confounder setting: without α-normalization, the diurnal
   // activity/latency coupling largely cancels the divergence the preference
   // creates, and the screen would read "nothing here" on sensitive slices.

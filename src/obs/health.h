@@ -1,9 +1,9 @@
 // Component readiness and status sections for the live introspection plane
 // (obs::ObsServer's /healthz and /statusz endpoints). Long-lived components
-// — the analysis pipeline, the collector, streaming sessions — publish a
-// ready bit plus a detail string into the process-global Health registry,
-// and optionally a JSON section provider into the StatusRegistry. Both are
-// tiny mutex-guarded maps: registration and scrapes are cold paths.
+// — the analysis pipeline and the collector — publish a ready bit plus a
+// detail string into the process-global Health registry, and optionally a
+// JSON section provider into the StatusRegistry. Both are tiny
+// mutex-guarded maps: registration and scrapes are cold paths.
 #pragma once
 
 #include <cstdint>

@@ -23,31 +23,6 @@ Interval percentile_interval(std::vector<double>& draws, double confidence) {
 
 }  // namespace
 
-Interval bootstrap_interval(std::span<const double> sample,
-                            const std::function<double(std::span<const double>)>& statistic,
-                            std::size_t replicates, double confidence, Random& random,
-                            std::size_t threads) {
-  if (sample.empty()) throw std::invalid_argument("bootstrap_interval: empty sample");
-  check_params(replicates, confidence);
-  // One draw from the caller's stream anchors all replicates; replicate r
-  // then resamples from its own counter-seeded substream, so `draws` does
-  // not depend on how replicates are distributed over threads.
-  const std::uint64_t stream_base = random.engine()();
-  std::vector<double> draws(replicates);
-  core::parallel_for(replicates, threads, 1,
-                     [&](std::size_t begin, std::size_t end, std::size_t /*chunk*/) {
-                       std::vector<double> resample(sample.size());
-                       for (std::size_t r = begin; r < end; ++r) {
-                         Random substream(substream_seed(stream_base, r));
-                         for (auto& v : resample) {
-                           v = sample[substream.uniform_index(sample.size())];
-                         }
-                         draws[r] = statistic(resample);
-                       }
-                     });
-  return percentile_interval(draws, confidence);
-}
-
 std::vector<Interval> bootstrap_curve_interval(
     std::size_t sample_size,
     const std::function<std::vector<double>(std::span<const std::size_t>)>& statistic,

@@ -1,4 +1,4 @@
-// Percentile bootstrap over scalar statistics and curves. The paper reports
+// Percentile bootstrap over curves. The paper reports
 // point estimates only; we add bootstrap confidence intervals so downstream
 // users can tell signal from estimation noise (and so tests can assert that
 // planted ground truth lies inside the interval).
@@ -20,21 +20,13 @@ struct Interval {
   bool contains(double v) const noexcept { return v >= lo && v <= hi; }
 };
 
-/// Percentile bootstrap CI for a scalar statistic of a sample.
-/// `statistic` is evaluated on `replicates` resamples (with replacement).
-/// `confidence` in (0,1), e.g. 0.95. Throws on empty input or bad params.
-/// Replicate r draws from a counter-seeded substream of `random`, so the
-/// interval is byte-identical for every `threads` value; with threads > 1
-/// `statistic` must be safe to call concurrently.
-Interval bootstrap_interval(std::span<const double> sample,
-                            const std::function<double(std::span<const double>)>& statistic,
-                            std::size_t replicates, double confidence, Random& random,
-                            std::size_t threads = 1);
-
 /// Bootstrap CIs for every point of a curve-valued statistic: `statistic`
 /// maps a resampled index set (into the original sample) to a curve of fixed
-/// length. Returns one Interval per curve point. Threading contract as for
-/// bootstrap_interval.
+/// length. `confidence` in (0,1), e.g. 0.95. Returns one Interval per curve
+/// point. Throws on empty input or bad params. Replicate r draws from a
+/// counter-seeded substream of `random`, so the intervals are byte-identical
+/// for every `threads` value; with threads > 1 `statistic` must be safe to
+/// call concurrently.
 std::vector<Interval> bootstrap_curve_interval(
     std::size_t sample_size,
     const std::function<std::vector<double>(std::span<const std::size_t>)>& statistic,

@@ -1,34 +1,9 @@
 #include "stats/correlation.h"
 
-#include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
-#include <vector>
 
 namespace autosens::stats {
-namespace {
-
-/// Average ranks (1-based), with ties receiving the mean of their positions.
-std::vector<double> average_ranks(std::span<const double> values) {
-  const std::size_t n = values.size();
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(),
-            [&](std::size_t a, std::size_t b) { return values[a] < values[b]; });
-  std::vector<double> ranks(n, 0.0);
-  std::size_t i = 0;
-  while (i < n) {
-    std::size_t j = i;
-    while (j + 1 < n && values[order[j + 1]] == values[order[i]]) ++j;
-    const double rank = 0.5 * static_cast<double>(i + j) + 1.0;
-    for (std::size_t k = i; k <= j; ++k) ranks[order[k]] = rank;
-    i = j + 1;
-  }
-  return ranks;
-}
-
-}  // namespace
 
 double pearson(std::span<const double> x, std::span<const double> y) {
   if (x.size() != y.size()) throw std::invalid_argument("pearson: size mismatch");
@@ -54,14 +29,6 @@ double pearson(std::span<const double> x, std::span<const double> y) {
   }
   if (sxx <= 0.0 || syy <= 0.0) return 0.0;
   return sxy / std::sqrt(sxx * syy);
-}
-
-double spearman(std::span<const double> x, std::span<const double> y) {
-  if (x.size() != y.size()) throw std::invalid_argument("spearman: size mismatch");
-  if (x.size() < 2) throw std::invalid_argument("spearman: need at least 2 samples");
-  const auto rx = average_ranks(x);
-  const auto ry = average_ranks(y);
-  return pearson(rx, ry);
 }
 
 }  // namespace autosens::stats

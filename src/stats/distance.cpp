@@ -47,20 +47,6 @@ double total_variation_distance(const Histogram& p, const Histogram& q) {
   return 0.5 * sum;
 }
 
-double hellinger_distance(const Histogram& p, const Histogram& q) {
-  check_compatible(p, q);
-  const auto a = p.counts();
-  const auto b = q.counts();
-  const double a_total = p.total_weight();
-  const double b_total = q.total_weight();
-  const double bc = interleaved_sum(a.size(), [&](std::size_t i) {  // Bhattacharyya coefficient
-    return std::sqrt((a[i] / a_total) * (b[i] / b_total));
-  });
-  // A non-finite bin makes bc NaN; std::max(0.0, NaN) would report 0.
-  if (std::isnan(bc)) return bc;
-  return std::sqrt(std::max(0.0, 1.0 - bc));
-}
-
 double ks_statistic(const Histogram& p, const Histogram& q) {
   check_compatible(p, q);
   double cp = 0.0;

@@ -16,9 +16,6 @@ namespace autosens::stats {
 /// histogram is empty.
 double total_variation_distance(const Histogram& p, const Histogram& q);
 
-/// Hellinger distance: sqrt(1 - sum sqrt(p_i q_i)). In [0, 1].
-double hellinger_distance(const Histogram& p, const Histogram& q);
-
 /// Two-sample Kolmogorov–Smirnov statistic: max |CDF_p - CDF_q|. In [0, 1].
 double ks_statistic(const Histogram& p, const Histogram& q);
 

@@ -102,8 +102,8 @@ class UserQuartiles {
   /// Throws std::invalid_argument if the dataset has no users.
   explicit UserQuartiles(const Dataset& dataset);
 
-  /// Build from precomputed per-user medians (e.g. a streaming
-  /// telemetry::UserAccumulator over data too large to materialize).
+  /// Build from precomputed per-user medians. Throws std::invalid_argument
+  /// if `medians` is empty.
   explicit UserQuartiles(const std::unordered_map<std::uint64_t, double>& medians);
 
   /// Quartile in [0, 4) for a user; unknown users go to the nearest quartile

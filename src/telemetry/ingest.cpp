@@ -370,11 +370,9 @@ IngestMetrics& metrics_for(std::string_view format) {
   static IngestMetrics csv("csv");
   static IngestMetrics jsonl("jsonl");
   static IngestMetrics binlog("binlog");
-  static IngestMetrics logdir("logdir");
   if (format == "csv") return csv;
   if (format == "jsonl") return jsonl;
-  if (format == "binlog") return binlog;
-  return logdir;
+  return binlog;
 }
 
 }  // namespace

@@ -136,7 +136,7 @@ std::string_view strip_utf8_bom(std::string_view text) noexcept;
 /// Mirror one finished ingest into the obs registry: per-format
 /// bytes/records/parse-error counters plus bytes-per-second and
 /// records-per-second gauges. `format` must be a string literal
-/// ("csv", "jsonl", "binlog", "logdir").
+/// ("csv", "jsonl", "binlog").
 void note_ingest(std::string_view format, const IngestStats& stats);
 
 /// What a per-line parser did with one line.

@@ -4,63 +4,16 @@
 
 #include <vector>
 
-#include "stats/descriptive.h"
-
 namespace autosens::stats {
 namespace {
-
-double sample_mean(std::span<const double> values) {
-  double sum = 0.0;
-  for (const double v : values) sum += v;
-  return sum / static_cast<double>(values.size());
-}
-
-TEST(BootstrapIntervalTest, Validation) {
-  Random random(1);
-  const auto stat = [](std::span<const double> v) { return sample_mean(v); };
-  EXPECT_THROW(bootstrap_interval({}, stat, 10, 0.95, random), std::invalid_argument);
-  const std::vector<double> v = {1.0, 2.0};
-  EXPECT_THROW(bootstrap_interval(v, stat, 0, 0.95, random), std::invalid_argument);
-  EXPECT_THROW(bootstrap_interval(v, stat, 10, 0.0, random), std::invalid_argument);
-  EXPECT_THROW(bootstrap_interval(v, stat, 10, 1.0, random), std::invalid_argument);
-}
-
-TEST(BootstrapIntervalTest, CoversTrueMeanOfNormalSample) {
-  Random random(2);
-  std::vector<double> sample(400);
-  for (auto& v : sample) v = random.normal(10.0, 2.0);
-  const auto interval = bootstrap_interval(
-      sample, [](std::span<const double> v) { return sample_mean(v); }, 500, 0.99, random);
-  EXPECT_TRUE(interval.contains(10.0))
-      << "interval [" << interval.lo << ", " << interval.hi << "]";
-  EXPECT_LT(interval.hi - interval.lo, 1.5);
-}
-
-TEST(BootstrapIntervalTest, IntervalWidensWithConfidence) {
-  Random random(3);
-  std::vector<double> sample(100);
-  for (auto& v : sample) v = random.uniform();
-  const auto stat = [](std::span<const double> v) { return sample_mean(v); };
-  Random r1 = random.split();
-  Random r2 = random.split();
-  const auto narrow = bootstrap_interval(sample, stat, 400, 0.5, r1);
-  const auto wide = bootstrap_interval(sample, stat, 400, 0.99, r2);
-  EXPECT_LT(narrow.hi - narrow.lo, wide.hi - wide.lo);
-}
-
-TEST(BootstrapIntervalTest, DegenerateSampleGivesPointInterval) {
-  Random random(4);
-  const std::vector<double> sample(50, 7.0);
-  const auto interval = bootstrap_interval(
-      sample, [](std::span<const double> v) { return sample_mean(v); }, 100, 0.9, random);
-  EXPECT_DOUBLE_EQ(interval.lo, 7.0);
-  EXPECT_DOUBLE_EQ(interval.hi, 7.0);
-}
 
 TEST(BootstrapCurveTest, Validation) {
   Random random(5);
   const auto stat = [](std::span<const std::size_t>) { return std::vector<double>{1.0}; };
   EXPECT_THROW(bootstrap_curve_interval(0, stat, 10, 0.9, random), std::invalid_argument);
+  EXPECT_THROW(bootstrap_curve_interval(2, stat, 0, 0.95, random), std::invalid_argument);
+  EXPECT_THROW(bootstrap_curve_interval(2, stat, 10, 0.0, random), std::invalid_argument);
+  EXPECT_THROW(bootstrap_curve_interval(2, stat, 10, 1.0, random), std::invalid_argument);
 }
 
 TEST(BootstrapCurveTest, RejectsVaryingLengths) {

@@ -8,11 +8,12 @@
 #      `summary` and `slices --by action` on each file at --threads 1 and
 #      --threads 4 matches a sha256 digest frozen from the shard-based
 #      readers the row-range readers replaced;
-#   3. `analyze --trace-out` on each file: the run has one root span,
-#      `analyze`, whose children cover at least 90% of it (the union of
-#      their intervals, so overlapping children are not counted twice), and
-#      the reader's span (`ingest_csv` / `ingest_jsonl`) carries its lines
-#      and chunks attributes.
+#   3. `--trace-out` of `analyze` (plain and with --confidence), `summary`,
+#      `screen`, `locality` and `alpha` on each file: the run has one root
+#      span, named after the command, whose children cover at least 90% of
+#      it (the union of their intervals, so overlapping children are not
+#      counted twice), and the reader's span (`ingest_csv` / `ingest_jsonl`)
+#      carries its lines and chunks attributes.
 #
 # Usage: cli_analyze_e2e.sh <autosens_cli> [python3]
 set -euo pipefail
@@ -63,22 +64,33 @@ for format in csv jsonl; do
 done
 echo "${#cases[@]} commands on each format match their frozen digests at --threads 1 and 4"
 
+traced=(
+  "analyze --action SelectMail"
+  "analyze --action SelectMail --confidence --replicates 5"
+  "summary"
+  "screen"
+  "locality"
+  "alpha"
+)
 for format in csv jsonl; do
-"$CLI" analyze --in "$WORK/data.$format" --action SelectMail --trace-out "$WORK/trace.json" \
-    > /dev/null 2>&1
-"$PYTHON" - "$WORK/trace.json" "$format" <<'PY'
+  for command in "${traced[@]}"; do
+    # shellcheck disable=SC2086  # the command and flags are meant to split
+    "$CLI" $command --in "$WORK/data.$format" --trace-out "$WORK/trace.json" > /dev/null 2>&1
+    "$PYTHON" - "$WORK/trace.json" "$format" "$command" <<'PY'
 import json
 import sys
 
-fmt = sys.argv[2]
+fmt, command = sys.argv[2], sys.argv[3]
+name = command.split()[0]
 events = [e for e in json.load(open(sys.argv[1]))["traceEvents"] if e.get("ph") == "X"]
 roots = [e for e in events if e["args"].get("parent", 0) in (0, "0")]
-if [e["name"] for e in roots] != ["analyze"]:
-    sys.exit(f"FAIL: expected one root span 'analyze', got {[e['name'] for e in roots]}")
+if [e["name"] for e in roots] != [name]:
+    sys.exit(f"FAIL: {command}: expected one root span '{name}', "
+             f"got {[e['name'] for e in roots]}")
 root = roots[0]
 reader = [e for e in events if e["name"] == f"ingest_{fmt}"]
 if len(reader) != 1:
-    sys.exit(f"FAIL: expected one ingest_{fmt} span, got {len(reader)}")
+    sys.exit(f"FAIL: {command}: expected one ingest_{fmt} span, got {len(reader)}")
 for key in ("lines", "chunks"):
     if key not in reader[0]["args"]:
         sys.exit(f"FAIL: the ingest_{fmt} span lacks the {key} attribute")
@@ -93,10 +105,11 @@ for child in sorted(children, key=lambda e: e["ts"]):
         end = stop
 coverage = covered / max(root["dur"], 1)
 if coverage < 0.9:
-    sys.exit(f"FAIL: child spans cover {coverage:.1%} of analyze (< 90%): "
+    sys.exit(f"FAIL: child spans cover {coverage:.1%} of {name} (< 90%): "
              f"{[(e['name'], e['dur']) for e in children]} of {root['dur']}")
-print(f"analyze --in data.{fmt}: span coverage {coverage:.1%} over {len(children)} child "
-      f"spans; ingest_{fmt} read {reader[0]['args']['lines']} lines in "
+print(f"{command} --in data.{fmt}: span coverage {coverage:.1%} over {len(children)} "
+      f"child spans; ingest_{fmt} read {reader[0]['args']['lines']} lines in "
       f"{reader[0]['args']['chunks']} chunks")
 PY
+  done
 done

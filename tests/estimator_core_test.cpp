@@ -12,7 +12,6 @@
 #include "core/confounder_time.h"
 #include "core/pipeline.h"
 #include "core/slices.h"
-#include "core/streaming.h"
 #include "core/unbiased.h"
 #include "simulate/generator.h"
 #include "simulate/presets.h"
@@ -179,11 +178,24 @@ TEST(EstimatorCoreTest, DuplicateRunsShareTheirVoronoiCell) {
   }
 }
 
-TEST(EstimatorCoreTest, StreamingWithDuplicateTimesEqualsBatch) {
+TEST(EstimatorCoreTest, RunByRunWithDuplicateTimesEqualsBatch) {
+  // One accumulator fed one duplicate-time run at a time, each with its true
+  // neighbours and the data range as U window, reduces the batch statistics.
   const auto slice = with_duplicates(select_mail(306));
-  StreamingAutoSens stream{AutoSensOptions{}};
-  stream.feed_all(slice);
-  EXPECT_EQ(bytes_of(stream.snapshot()), bytes_of(analyze(slice, AutoSensOptions{})));
+  const auto times = slice.times();
+  const auto latencies = slice.latencies();
+  const TimeWindow data{.begin_ms = slice.begin_time(), .end_ms = slice.end_time()};
+  Accumulator accumulator(ClassGrid::kSlot, AutoSensOptions{});
+  for (std::size_t i = 0; i < times.size();) {
+    std::size_t j = i + 1;
+    while (j < times.size() && times[j] == times[i]) ++j;
+    accumulator.add_run(i > 0 ? std::optional(times[i - 1]) : std::nullopt, times[i],
+                        j < times.size() ? std::optional(times[j]) : std::nullopt,
+                        latencies.subspan(i, j - i), data);
+    i = j;
+  }
+  EXPECT_EQ(bytes_of(accumulator.finish().preference),
+            bytes_of(analyze(slice, AutoSensOptions{})));
 }
 
 TEST(EstimatorCoreTest, ClassGridsCoverEveryRecord) {

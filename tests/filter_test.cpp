@@ -8,6 +8,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "simulate/generator.h"
@@ -317,6 +318,16 @@ TEST(UserQuartilesTest, QuartilePartitionCoversAllUsers) {
     total += data.filtered(quartiles.in_quartile(q)).size();
   }
   EXPECT_EQ(total, data.size());
+}
+
+TEST(UserQuartilesTest, FromPrecomputedMedians) {
+  std::unordered_map<std::uint64_t, double> medians;
+  for (std::uint64_t u = 1; u <= 8; ++u) medians[u] = static_cast<double>(u * 10);
+  const UserQuartiles quartiles(medians);
+  EXPECT_EQ(quartiles.quartile_of(1), 0);
+  EXPECT_EQ(quartiles.quartile_of(8), 3);
+  EXPECT_THROW(UserQuartiles(std::unordered_map<std::uint64_t, double>{}),
+               std::invalid_argument);
 }
 
 }  // namespace

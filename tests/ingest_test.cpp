@@ -10,7 +10,6 @@
 
 #include <bit>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -21,7 +20,6 @@
 #include "telemetry/binlog.h"
 #include "telemetry/csv.h"
 #include "telemetry/jsonl.h"
-#include "telemetry/logdir.h"
 #include "reference_codecs.h"
 
 namespace autosens::telemetry {
@@ -501,7 +499,7 @@ TEST(MappedFileTest, FifoIsNotMapped) {
 }
 
 // ---------------------------------------------------------------------------
-// Binlog and logdir determinism across thread counts.
+// Binlog determinism across thread counts.
 
 Dataset random_dataset(std::size_t n, std::uint64_t seed) {
   stats::Random random(seed);
@@ -552,21 +550,6 @@ TEST(BinlogIngestTest, V2RejectsCountMismatch) {
   bytes[4] += 1;  // bump the frame length so blocks no longer fit the count
   std::istringstream in(bytes);
   EXPECT_THROW(read_binlog(in), std::runtime_error);
-}
-
-TEST(LogdirIngestTest, ShardedReadIdenticalAcrossThreads) {
-  const auto dataset = random_dataset(3000, 42);
-  const std::string dir = ::testing::TempDir() + "/autosens_ingest_logdir";
-  std::filesystem::remove_all(dir);
-  const auto paths = write_sharded(dir, dataset, /*records_per_shard=*/500);
-  ASSERT_EQ(paths.size(), 6u);
-  const auto reference = read_sharded(dir, {.threads = 1});
-  expect_same_dataset(dataset, reference);
-  for (const std::size_t threads : {2u, 8u}) {
-    const auto merged = read_sharded(dir, {.threads = threads});
-    expect_same_dataset(reference, merged);
-  }
-  std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------

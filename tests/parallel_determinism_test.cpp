@@ -201,21 +201,6 @@ TEST(ParallelDeterminismTest, BootstrapIntervalsAcrossThreadCounts) {
   stats::Random data_rng(31);
   std::vector<double> sample(5000);
   for (auto& v : sample) v = data_rng.uniform(0.0, 100.0);
-  const auto mean = [](std::span<const double> values) {
-    double sum = 0.0;
-    for (const double v : values) sum += v;
-    return sum / static_cast<double>(values.size());
-  };
-
-  stats::Random base_rng(32);
-  const auto baseline = stats::bootstrap_interval(sample, mean, 200, 0.95, base_rng, 1);
-  for (const std::size_t threads : kThreadSweep) {
-    stats::Random rng(32);
-    const auto run = stats::bootstrap_interval(sample, mean, 200, 0.95, rng, threads);
-    EXPECT_EQ(bits(baseline.lo), bits(run.lo)) << "threads=" << threads;
-    EXPECT_EQ(bits(baseline.hi), bits(run.hi)) << "threads=" << threads;
-  }
-
   const auto curve = [&sample](std::span<const std::size_t> indices) {
     double sum = 0.0, sq = 0.0;
     for (const std::size_t idx : indices) {

@@ -338,15 +338,20 @@ std::optional<telemetry::UserClass> class_flag(const cli::Args& args) {
   return user_class;
 }
 
-telemetry::Dataset apply_slice_flags(const telemetry::Dataset& dataset,
-                                     const cli::Args& args) {
+/// The rows of `dataset` that --action and --class select. With either flag
+/// they are filtered into `filtered`, which the result then refers to;
+/// without, the result is `dataset` itself and nothing is copied.
+const telemetry::Dataset& apply_slice_flags(const telemetry::Dataset& dataset,
+                                            const cli::Args& args,
+                                            telemetry::Dataset& filtered) {
   obs::Span span("slice");
   std::vector<telemetry::RecordFilter> terms;
   if (const auto action = action_flag(args)) terms.push_back(telemetry::by_action(*action));
   if (const auto cls = class_flag(args)) terms.push_back(telemetry::by_user_class(*cls));
   if (terms.empty()) return dataset;
-  return dataset.filtered(telemetry::all_of(std::move(terms)),
-                          args.get_int<std::size_t>("threads", 0));
+  filtered = dataset.filtered(telemetry::all_of(std::move(terms)),
+                              args.get_int<std::size_t>("threads", 0));
+  return filtered;
 }
 
 core::AutoSensOptions options_from_flags(const cli::Args& args) {
@@ -423,8 +428,8 @@ int cmd_analyze(const cli::Args& args) {
   // printing.
   std::optional<obs::Span> span(std::in_place, "analyze");
   const auto validated = load_scrubbed(args.require("in"), ingest_options_from_flags(args));
-  const auto& dataset = validated.dataset;
-  const auto slice = apply_slice_flags(dataset, args);
+  telemetry::Dataset filtered;
+  const auto& slice = apply_slice_flags(validated.dataset, args, filtered);
   obs::log_debug("analyze.slice", {{"records", slice.size()}});
   const auto options = options_from_flags(args);
   // Satellite: always report what the validation scrub dropped, one line on
@@ -504,10 +509,9 @@ int cmd_slices(const cli::Args& args) {
     } else if (by == "month") {
       curves = core::preference_by_month(dataset, options, action());
     } else if (by == "dayclass") {
-      auto slice = dataset;
-      if (const auto name = args.get("action")) {
-        slice = apply_slice_flags(dataset, args);
-      }
+      telemetry::Dataset filtered;
+      const auto& slice =
+          args.get("action") ? apply_slice_flags(dataset, args, filtered) : dataset;
       for (auto& entry : core::preference_by_day_class(slice, options)) {
         curves.push_back({std::string(core::to_string(entry.day_class)),
                           std::move(entry.preference), entry.records});
@@ -545,11 +549,16 @@ int cmd_slices(const cli::Args& args) {
 int cmd_summary(const cli::Args& args) {
   args.allow_only(with_obs({"in", "action", "class", "ref", "bin", "max-latency",
                             "no-normalize", "mc", "threads"}));
+  // The span is the analysis, from the load to the summary; it ends before
+  // the printing.
+  std::optional<obs::Span> span(std::in_place, "summary");
   const auto dataset = load_scrubbed(args.require("in"), ingest_options_from_flags(args)).dataset;
-  const auto slice = apply_slice_flags(dataset, args);
+  telemetry::Dataset filtered;
+  const auto& slice = apply_slice_flags(dataset, args, filtered);
   const auto options = options_from_flags(args);
   const auto result = core::analyze(slice, options);
   const auto summary = core::summarize(result);
+  span.reset();
 
   report::Table table({"metric", "value"});
   table.add_row({"records", std::to_string(slice.size())});
@@ -569,9 +578,12 @@ int cmd_summary(const cli::Args& args) {
 int cmd_screen(const cli::Args& args) {
   args.allow_only(
       with_obs({"in", "action", "class", "ref", "bin", "max-latency", "mc", "threads"}));
+  std::optional<obs::Span> span(std::in_place, "screen");
   const auto dataset = load_scrubbed(args.require("in"), ingest_options_from_flags(args)).dataset;
-  const auto slice = apply_slice_flags(dataset, args);
+  telemetry::Dataset filtered;
+  const auto& slice = apply_slice_flags(dataset, args, filtered);
   const auto report = core::screen(slice, options_from_flags(args));
+  span.reset();
   report::Table table({"metric", "value"});
   table.add_row({"total variation (B vs U)", report::Table::num(report.total_variation, 4)});
   table.add_row({"KS statistic", report::Table::num(report.kolmogorov_smirnov, 4)});
@@ -583,12 +595,15 @@ int cmd_screen(const cli::Args& args) {
 
 int cmd_locality(const cli::Args& args) {
   args.allow_only(with_obs({"in", "action", "class", "window-min", "threads"}));
+  std::optional<obs::Span> span(std::in_place, "locality");
   const auto dataset = load_scrubbed(args.require("in"), ingest_options_from_flags(args)).dataset;
-  const auto slice = apply_slice_flags(dataset, args);
+  telemetry::Dataset filtered;
+  const auto& slice = apply_slice_flags(dataset, args, filtered);
   stats::Random random(7);
   core::LocalityOptions options;
   options.window_ms = args.get_int("window-min", 1) * telemetry::kMillisPerMinute;
   const auto report = core::analyze_locality(slice, options, random);
+  span.reset();
   report::Table table({"metric", "value"});
   table.add_row({"samples", std::to_string(report.samples)});
   table.add_row({"MSD/MAD actual", report::Table::num(report.msd_mad_actual)});
@@ -604,12 +619,16 @@ int cmd_locality(const cli::Args& args) {
 
 int cmd_alpha(const cli::Args& args) {
   args.allow_only(with_obs({"in", "action", "class", "threads"}));
+  std::optional<obs::Span> span(std::in_place, "alpha");
   const auto dataset = load_scrubbed(args.require("in"), ingest_options_from_flags(args)).dataset;
-  const auto slice = apply_slice_flags(dataset, args);
+  telemetry::Dataset filtered;
+  const auto& slice = apply_slice_flags(dataset, args, filtered);
   core::AutoSensOptions options;
   options.threads = args.get_int<std::size_t>("threads", 0);
-
   const auto periods = core::alpha_by_period(slice, options);
+  const auto dow = core::day_class_activity(slice, options);
+  span.reset();
+
   report::Table period_table({"period", "records", "mean alpha"});
   for (const auto& pa : periods) {
     period_table.add_row({std::string(telemetry::to_string(pa.period)),
@@ -618,7 +637,6 @@ int cmd_alpha(const cli::Args& args) {
   std::cout << "time-of-day activity factor (ref 8am-2pm):\n";
   period_table.print(std::cout);
 
-  const auto dow = core::day_class_activity(slice, options);
   std::cout << "\nweekday/weekend activity factor (ref weekday):\n";
   report::Table dow_table({"class", "records", "beta"});
   dow_table.add_row({"weekday", std::to_string(dow.weekday_records), "1.000"});

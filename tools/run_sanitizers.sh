@@ -57,7 +57,7 @@ targets=(wire_test net_pipeline_test fault_test wire_fuzz_test
          store_test store_prune_test store_soak_test store_summary_test
          dataset_test filter_test validate_test select_test sort_test ingest_test
          binlog_test csv_test jsonl_test
-         pipeline_test streaming_test confounder_time_test confounder_dow_test
+         pipeline_test confounder_time_test confounder_dow_test
          unbiased_test slices_test confidence_test estimator_core_test
          estimator_fixture_test histogram_test biased_test)
 
